@@ -46,8 +46,8 @@
 //! `serve_batch` events and is summarized in `--bench-out`
 //! (`BENCH_serve.json`, with throughput measured over wall-clock serving
 //! time). The engine lives in `cdcl_bench::serve` so the integration
-//! tests can drive it in-process; `serve-load` is the companion load
-//! generator.
+//! tests can drive it in-process; the repository benchmark
+//! (`crates/bench/examples/benchmark`) drives it under load.
 
 fn main() {
     let args = cdcl_bench::serve::parse_args();

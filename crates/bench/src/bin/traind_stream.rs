@@ -16,6 +16,8 @@
 //! time — in a `bench-diff`-comparable `{"latency": …}` shape. Any
 //! violated assertion exits non-zero, failing the CI job.
 
+use cdcl_bench::net::{field_bool, field_f64, field_u64};
+use cdcl_bench::{flag_usize, flag_value, parse_cli};
 use cdcl_data::{DomainPairConfig, Sample};
 use serde::Value;
 use std::fmt::Write as _;
@@ -56,8 +58,7 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_args() -> StreamArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+fn parse_args_from(argv: &[String]) -> Result<StreamArgs, String> {
     let mut args = StreamArgs {
         traind: String::new(),
         serve: None,
@@ -69,40 +70,24 @@ fn parse_args() -> StreamArgs {
     };
     let mut i = 0;
     while i < argv.len() {
-        let value = |i: usize| -> String {
-            argv.get(i + 1)
-                .unwrap_or_else(|| {
-                    eprintln!("traind-stream: {} needs a value\n{}", argv[i], usage());
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        let number = |i: usize| -> usize {
-            value(i).parse().unwrap_or_else(|_| {
-                eprintln!("traind-stream: {} expects an integer\n{}", argv[i], usage());
-                std::process::exit(2);
-            })
-        };
+        let value = |i| flag_value(argv, i, usage).map(str::to_string);
+        let number = |i| flag_usize(argv, i, usage);
         match argv[i].as_str() {
-            "--traind" => args.traind = value(i),
-            "--serve" => args.serve = Some(value(i)),
-            "--out" => args.out = Some(value(i)),
-            "--seed" => args.seed = number(i) as u64,
-            "--bootstrap" => args.bootstrap_windows = number(i).max(1),
-            "--clean" => args.clean_windows = number(i),
-            "--max-shift" => args.max_shift_windows = number(i).max(1),
-            other => {
-                eprintln!("traind-stream: unknown argument {other}\n{}", usage());
-                std::process::exit(2);
-            }
+            "--traind" => args.traind = value(i)?,
+            "--serve" => args.serve = Some(value(i)?),
+            "--out" => args.out = Some(value(i)?),
+            "--seed" => args.seed = number(i)? as u64,
+            "--bootstrap" => args.bootstrap_windows = number(i)?.max(1),
+            "--clean" => args.clean_windows = number(i)?,
+            "--max-shift" => args.max_shift_windows = number(i)?.max(1),
+            other => return Err(format!("unknown argument {other}\n{}", usage())),
         }
         i += 2;
     }
     if args.traind.is_empty() {
-        eprintln!("traind-stream: --traind is required\n{}", usage());
-        std::process::exit(2);
+        return Err(format!("--traind is required\n{}", usage()));
     }
-    args
+    Ok(args)
 }
 
 /// The deterministic two-task scenario: a strong per-task rendering drift
@@ -183,27 +168,6 @@ fn commit_window(
     ack
 }
 
-fn field_bool(v: &Value, name: &str) -> Option<bool> {
-    match v.field(name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-fn field_u64(v: &Value, name: &str) -> Option<u64> {
-    match v.field(name) {
-        Some(Value::Num(n)) => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn field_f64(v: &Value, name: &str) -> Option<f64> {
-    match v.field(name) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
 /// Asserts a window ack carries a fully verified publish and returns its
 /// `publish_us`.
 fn check_publish(ack: &Value, expect_version: u64, expect_tasks: u64) -> f64 {
@@ -278,7 +242,7 @@ fn probe_serve(addr: &str, image_len: usize, expect_version: u64) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = parse_cli("traind-stream", parse_args_from);
     let stream = scenario(args.seed);
     let per_window = 6;
 

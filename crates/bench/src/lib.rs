@@ -15,6 +15,7 @@
 //! `--methods a,b,c` filter, and `--out <path>` for a JSON dump next to the
 //! printed table.
 
+pub mod net;
 pub mod serve;
 pub mod traind;
 
@@ -285,6 +286,38 @@ pub fn maybe_write_json<T: Serialize>(out: &Option<String>, value: &T) {
         std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("results written to {path}");
     }
+}
+
+/// Parses the process arguments with `parse`, exiting with status 2 and
+/// the usage error (prefixed by the binary's `name`) on any CLI mistake —
+/// a diagnosis, never a panic.
+pub fn parse_cli<T>(name: &str, parse: fn(&[String]) -> Result<T, String>) -> T {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    parse(&argv).unwrap_or_else(|e| {
+        eprintln!("{name}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Returns the value following flag `argv[i]`, or a usage error when the
+/// flag is the last argument — the bug class where `--snapshot` as the
+/// final token used to die with an out-of-bounds panic.
+pub fn flag_value(argv: &[String], i: usize, usage: fn() -> String) -> Result<&str, String> {
+    argv.get(i + 1)
+        .map(|s| s.as_str())
+        .ok_or_else(|| format!("{} needs a value\n{}", argv[i], usage()))
+}
+
+/// [`flag_value`] parsed as a non-negative integer.
+pub fn flag_usize(argv: &[String], i: usize, usage: fn() -> String) -> Result<usize, String> {
+    let v = flag_value(argv, i, usage)?;
+    v.parse().map_err(|_| {
+        format!(
+            "{} expects a non-negative integer, got {v:?}\n{}",
+            argv[i],
+            usage()
+        )
+    })
 }
 
 #[cfg(test)]

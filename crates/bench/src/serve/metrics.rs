@@ -33,6 +33,11 @@ pub(crate) static ACCEPT_ERRORS_TOTAL: Counter = Counter::new(
     "Failed accept()/clone() calls on the TCP listener that were logged \
      and survived (EMFILE, ECONNABORTED, ...) instead of killing the server",
 );
+pub(crate) static OVERSIZE_LINES_TOTAL: Counter = Counter::new(
+    "cdcl_serve_oversize_lines_total",
+    "Lines longer than the line limit, each answered with a line-too-long \
+     error before its connection was closed",
+);
 pub(crate) static RELOADS_TOTAL: Counter = Counter::new(
     "cdcl_serve_reloads_total",
     "Successful RELOAD verbs: snapshot versions atomically hot-swapped \

@@ -14,13 +14,11 @@
 //!   instead of queueing unboundedly (plus the `--max-queue` cap on any
 //!   one connection's pending queue);
 //! * [`metrics`] — the `cdcl_serve_*` registry series, including the
-//!   per-model `cdcl_serve_model_*{model="…"}` families;
-//! * [`load`] — the `serve-load` generator measuring sustained RPS and
-//!   tail latency against the threaded accept loop
-//!   (`BENCH_serve_load.json`).
+//!   per-model `cdcl_serve_model_*{model="…"}` families.
 //!
-//! The TCP accept loop runs `--threads` workers over one nonblocking
-//! listener; a failed `accept()`/`try_clone()` is logged and counted
+//! Transport is the shared line server ([`crate::net`]): `--threads`
+//! workers behind one acceptor, `TCP_NODELAY`, bounded lines, and a failed
+//! `accept()`/`try_clone()` logged and counted
 //! (`cdcl_serve_accept_errors_total`), never fatal. Heavy compute stays in
 //! the zero-dep kernel pool — connection workers only stage batches and
 //! run forward passes, which parallelize internally. Observability
@@ -33,25 +31,26 @@
 //! becomes an error response and bumps `cdcl_serve_nonfinite_total`.
 
 pub mod admission;
-pub mod load;
 pub mod metrics;
 pub mod registry;
 
+use crate::net::{self, json_str, registry_json};
+use crate::{flag_usize, flag_value};
 use cdcl_core::CdclTrainer;
 use cdcl_telemetry as telemetry;
 use cdcl_tensor::{pool, PooledBuf, Tensor};
 use metrics::{
     ACCEPT_ERRORS_TOTAL, BATCHES_TOTAL, BATCH_LATENCY_US, BATCH_SIZE, BUSY_TOTAL, FAILED_TOTAL,
-    NONFINITE_TOTAL, QUEUE_DEPTH, REQUESTS_TOTAL, SERVE_ALLOC_BYTES,
+    NONFINITE_TOTAL, OVERSIZE_LINES_TOTAL, QUEUE_DEPTH, REQUESTS_TOTAL, SERVE_ALLOC_BYTES,
 };
 use registry::{LoadedModel, ModelSlot, SnapshotRegistry, DEFAULT_MODEL};
 use serde::{Deserialize, Serialize};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One JSON-lines prediction request.
 #[derive(Debug, Deserialize)]
@@ -110,8 +109,8 @@ impl Response {
     }
 }
 
-/// Latency summary written to `--bench-out` (per forward micro-batch for
-/// `BENCH_serve.json`, per request round-trip for `BENCH_serve_load.json`).
+/// Per-forward-micro-batch latency summary written to `--bench-out`
+/// (`BENCH_serve.json`).
 #[derive(Debug, Serialize)]
 pub struct LatencySummary {
     pub mean: f64,
@@ -333,26 +332,6 @@ pub fn serve_usage() -> String {
         .to_string()
 }
 
-/// Returns the value following flag `argv[i]`, or a usage error when the
-/// flag is the last argument — the bug class where `--snapshot` as the
-/// final token used to die with an out-of-bounds panic.
-fn flag_value(argv: &[String], i: usize) -> Result<&str, String> {
-    argv.get(i + 1)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{} needs a value\n{}", argv[i], serve_usage()))
-}
-
-fn flag_usize(argv: &[String], i: usize) -> Result<usize, String> {
-    let v = flag_value(argv, i)?;
-    v.parse().map_err(|_| {
-        format!(
-            "{} expects a non-negative integer, got {v:?}\n{}",
-            argv[i],
-            serve_usage()
-        )
-    })
-}
-
 /// Parses a `cdcl-serve` argument vector. All CLI mistakes — a flag
 /// missing its value, a malformed number, an unknown flag, no model —
 /// come back as a usage error, never a panic.
@@ -362,12 +341,12 @@ pub fn parse_args_from(argv: &[String]) -> Result<ServeArgs, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--snapshot" => {
-                let path = flag_value(argv, i)?;
+                let path = flag_value(argv, i, serve_usage)?;
                 args.models
                     .push((DEFAULT_MODEL.to_string(), PathBuf::from(path)));
             }
             "--model" => {
-                let spec = flag_value(argv, i)?;
+                let spec = flag_value(argv, i, serve_usage)?;
                 let (id, path) = spec.split_once('=').ok_or_else(|| {
                     format!(
                         "--model expects <id>=<path>, got {spec:?}\n{}",
@@ -382,23 +361,23 @@ pub fn parse_args_from(argv: &[String]) -> Result<ServeArgs, String> {
                 }
                 args.models.push((id.to_string(), PathBuf::from(path)));
             }
-            "--tcp" => args.tcp = Some(flag_value(argv, i)?.to_string()),
+            "--tcp" => args.tcp = Some(flag_value(argv, i, serve_usage)?.to_string()),
             "--max-batch" => {
-                args.max_batch = flag_usize(argv, i)?;
+                args.max_batch = flag_usize(argv, i, serve_usage)?;
                 if args.max_batch == 0 {
                     return Err(format!("--max-batch must be positive\n{}", serve_usage()));
                 }
             }
             "--bench-out" => {
-                args.bench_out = match flag_value(argv, i)? {
+                args.bench_out = match flag_value(argv, i, serve_usage)? {
                     "none" => None,
                     path => Some(path.to_string()),
                 };
             }
-            "--conns" => args.conns = flag_usize(argv, i)?,
-            "--metrics-every" => args.metrics_every = flag_usize(argv, i)?,
+            "--conns" => args.conns = flag_usize(argv, i, serve_usage)?,
+            "--metrics-every" => args.metrics_every = flag_usize(argv, i, serve_usage)?,
             "--threads" => {
-                args.threads = flag_usize(argv, i)?;
+                args.threads = flag_usize(argv, i, serve_usage)?;
                 if args.threads == 0 {
                     return Err(format!("--threads must be positive\n{}", serve_usage()));
                 }
@@ -408,9 +387,9 @@ pub fn parse_args_from(argv: &[String]) -> Result<ServeArgs, String> {
                 i += 1;
                 continue;
             }
-            "--max-inflight" => args.max_inflight = flag_usize(argv, i)?,
+            "--max-inflight" => args.max_inflight = flag_usize(argv, i, serve_usage)?,
             "--max-queue" => {
-                args.max_queue = flag_usize(argv, i)?;
+                args.max_queue = flag_usize(argv, i, serve_usage)?;
                 if args.max_queue == 0 {
                     return Err(format!("--max-queue must be positive\n{}", serve_usage()));
                 }
@@ -441,11 +420,7 @@ pub fn parse_args_from(argv: &[String]) -> Result<ServeArgs, String> {
 /// (bench binaries fail fast, but with a diagnosis — not an out-of-bounds
 /// panic).
 pub fn parse_args() -> ServeArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    parse_args_from(&argv).unwrap_or_else(|e| {
-        eprintln!("cdcl-serve: {e}");
-        std::process::exit(2);
-    })
+    crate::parse_cli("cdcl-serve", parse_args_from)
 }
 
 /// Validates one parsed request against the model version that will serve
@@ -790,60 +765,48 @@ fn metrics_summary_line(stats: &ServeStats) -> String {
     )
 }
 
-/// Renders the registry for exposition, mirroring the kernel counters in
-/// first so `/metrics` and `METRICS` always see current GEMM volume.
-fn registry_prometheus() -> String {
-    cdcl_tensor::kernels::publish_registry();
-    cdcl_obs::global().render_prometheus()
-}
+/// The daemon identity the shared line server records into.
+static NET: net::Daemon = net::Daemon {
+    name: "cdcl-serve",
+    accept_errors: &ACCEPT_ERRORS_TOTAL,
+    oversize_lines: &OVERSIZE_LINES_TOTAL,
+};
 
-fn registry_json() -> String {
-    cdcl_tensor::kernels::publish_registry();
-    cdcl_obs::global().render_json()
-}
-
-/// JSON-escapes a message for the hand-assembled verb responses.
-fn json_str(s: &str) -> String {
-    serde_json::to_string(s).expect("serialize string")
-}
-
-/// The serve loop over one request stream: queue lines, flush at
+/// The serve protocol on one stream: queue request lines, flush at
 /// `max_batch`, on a blank line, and at end-of-stream. Verbs on any
 /// stream: `METRICS` (registry as one JSON object), `MODELS` (loaded
 /// models/versions), and `RELOAD <model> <path>` (atomic hot-swap: the
 /// snapshot is loaded and fully verified before the swap, so failure
-/// leaves the serving version untouched). `first_line` carries a line the
-/// caller already consumed while sniffing the protocol (TCP dispatch);
-/// stdio passes `None`.
-fn serve_lines(
-    srv: &SnapshotRegistry,
-    first_line: Option<String>,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-    args: &ServeArgs,
-    stats: &ServeStats,
-) -> std::io::Result<()> {
-    let mut pending: Vec<Pending> = Vec::new();
-    let mut line = String::new();
-    let mut reported_at = 0u64;
-    let mut first = first_line;
-    loop {
-        let current = match first.take() {
-            Some(l) => l,
-            None => {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    break; // EOF
-                }
-                line.clone()
-            }
-        };
-        let trimmed = current.trim();
+/// leaves the serving version untouched).
+struct ServeSession<'a> {
+    srv: &'a SnapshotRegistry,
+    args: &'a ServeArgs,
+    stats: &'a ServeStats,
+    pending: Vec<Pending>,
+    reported_at: u64,
+}
+
+impl<'a> ServeSession<'a> {
+    fn new(srv: &'a SnapshotRegistry, args: &'a ServeArgs, stats: &'a ServeStats) -> Self {
+        Self {
+            srv,
+            args,
+            stats,
+            pending: Vec::new(),
+            reported_at: 0,
+        }
+    }
+}
+
+impl net::Session for ServeSession<'_> {
+    fn line(&mut self, trimmed: &str, writer: &mut dyn Write) -> std::io::Result<()> {
+        let (srv, args, stats) = (self.srv, self.args, self.stats);
+        let pending = &mut self.pending;
         if trimmed.is_empty() {
-            flush_batch(&mut pending, writer, stats)?;
+            flush_batch(pending, writer, stats)?;
         } else if trimmed == "METRICS" {
             // Flush first so the answer reflects every request seen so far.
-            flush_batch(&mut pending, writer, stats)?;
+            flush_batch(pending, writer, stats)?;
             writeln!(writer, "{{\"ok\":true,\"metrics\":{}}}", registry_json())?;
             writer.flush()?;
         } else if trimmed == "MODELS" || trimmed.starts_with("MODELS ") {
@@ -851,112 +814,21 @@ fn serve_lines(
             // read-back verification; the suffix (malformed or not) is
             // accepted and otherwise ignored so pre-tracing peers and
             // hand-typed verbs behave identically.
-            flush_batch(&mut pending, writer, stats)?;
+            flush_batch(pending, writer, stats)?;
             writeln!(writer, "{{\"ok\":true,\"models\":{}}}", srv.models_json())?;
             writer.flush()?;
         } else if let Some(rest) = trimmed.strip_prefix("RELOAD") {
             // In-flight requests must complete on the version they were
             // admitted against: flush before swapping.
-            flush_batch(&mut pending, writer, stats)?;
-            let mut parts: Vec<&str> = rest.split_whitespace().collect();
-            // An optional trailing `trace=<traceparent>` joins the
-            // publisher's trace; malformed values are dropped (never an
-            // error) so the verb grammar stays compatible both ways.
-            let remote = if parts.len() == 3 && parts[2].starts_with("trace=") {
-                let c = telemetry::ctx::TraceContext::parse(&parts[2]["trace=".len()..]).ok();
-                parts.pop();
-                c
-            } else {
-                None
-            };
-            let reply = if parts.len() != 2 {
-                format!(
-                    "{{\"ok\":false,\"verb\":\"reload\",\"error\":{}}}",
-                    json_str("RELOAD expects: RELOAD <model> <path.cdclsnap>")
-                )
-            } else {
-                // Locals drop in reverse order: the `reload` span pops
-                // before the remote-parent guard detaches.
-                let _remote_guard = remote.map(telemetry::ctx::attach);
-                let reload_span = telemetry::span("reload");
-                match srv.load(parts[0], Path::new(parts[1])) {
-                    Ok((slot, version)) => {
-                        // Arm the first-serve marker: the next batch on this
-                        // version completes the publish→visible trace.
-                        if let Some(c) = reload_span.context() {
-                            slot.set_pending_first_serve(version, c);
-                        }
-                        let m = slot.current();
-                        format!(
-                            "{{\"ok\":true,\"verb\":\"reload\",\"model\":\"{}\",\"version\":{},\"tasks\":{},\"centroid_tasks\":{}}}",
-                            slot.id(),
-                            version,
-                            m.trainer.model().num_tasks(),
-                            m.trainer
-                                .task_centroids()
-                                .iter()
-                                .filter(|c| c.shape()[0] > 0)
-                                .count()
-                        )
-                    }
-                    Err(e) => format!(
-                        "{{\"ok\":false,\"verb\":\"reload\",\"error\":{}}}",
-                        json_str(&e)
-                    ),
-                }
-            };
-            writeln!(writer, "{reply}")?;
+            flush_batch(pending, writer, stats)?;
+            writeln!(writer, "{}", reload(srv, rest))?;
             writer.flush()?;
         } else {
             match serde_json::from_str::<Request>(trimmed) {
                 Ok(req) => {
-                    let id = req.id.unwrap_or(0);
-                    if pending.len() >= args.max_queue {
-                        pending.push(Pending::Rejected {
-                            id,
-                            error: format!("busy: queue full ({} pending)", args.max_queue),
-                            busy: true,
-                            slot: None,
-                            trace: req.trace.clone(),
-                        });
-                    } else {
-                        match srv.get(req.model.as_deref()) {
-                            Ok(slot) => match slot.admission.try_acquire() {
-                                Some(ticket) => {
-                                    slot.metrics.inflight.set(slot.admission.inflight() as f64);
-                                    pending.push(Pending::Admitted {
-                                        id,
-                                        req,
-                                        slot,
-                                        _ticket: ticket,
-                                    });
-                                }
-                                None => {
-                                    let error = format!(
-                                        "busy: model {} at in-flight quota ({})",
-                                        slot.id(),
-                                        slot.admission.max_inflight()
-                                    );
-                                    pending.push(Pending::Rejected {
-                                        id,
-                                        error,
-                                        busy: true,
-                                        slot: Some(slot),
-                                        trace: req.trace.clone(),
-                                    });
-                                }
-                            },
-                            Err(e) => pending.push(Pending::Rejected {
-                                id,
-                                error: e,
-                                busy: false,
-                                slot: None,
-                                trace: req.trace.clone(),
-                            }),
-                        }
-                    }
+                    pending.push(admit(srv, args, pending.len(), req));
                     if pending.len() >= args.max_batch {
-                        flush_batch(&mut pending, writer, stats)?;
+                        flush_batch(pending, writer, stats)?;
                     }
                 }
                 Err(e) => {
@@ -971,12 +843,116 @@ fn serve_lines(
                 }
             }
         }
-        if args.metrics_every > 0 && stats.requests() >= reported_at + args.metrics_every as u64 {
-            reported_at = stats.requests();
+        if args.metrics_every > 0
+            && stats.requests() >= self.reported_at + args.metrics_every as u64
+        {
+            self.reported_at = stats.requests();
             eprintln!("{}", metrics_summary_line(stats));
         }
+        Ok(())
     }
-    flush_batch(&mut pending, writer, stats)
+
+    fn end(&mut self, writer: &mut dyn Write) -> std::io::Result<()> {
+        flush_batch(&mut self.pending, writer, self.stats)
+    }
+}
+
+/// Queues one parsed request behind `queued` others: admitted against its
+/// model's in-flight quota, or rejected (queue cap, quota, unknown model)
+/// to be answered in order at the next flush.
+fn admit(srv: &SnapshotRegistry, args: &ServeArgs, queued: usize, req: Request) -> Pending {
+    let id = req.id.unwrap_or(0);
+    if queued >= args.max_queue {
+        return Pending::Rejected {
+            id,
+            error: format!("busy: queue full ({} pending)", args.max_queue),
+            busy: true,
+            slot: None,
+            trace: req.trace,
+        };
+    }
+    match srv.get(req.model.as_deref()) {
+        Ok(slot) => match slot.admission.try_acquire() {
+            Some(ticket) => {
+                slot.metrics.inflight.set(slot.admission.inflight() as f64);
+                Pending::Admitted {
+                    id,
+                    req,
+                    slot,
+                    _ticket: ticket,
+                }
+            }
+            None => Pending::Rejected {
+                id,
+                error: format!(
+                    "busy: model {} at in-flight quota ({})",
+                    slot.id(),
+                    slot.admission.max_inflight()
+                ),
+                busy: true,
+                slot: Some(slot),
+                trace: req.trace,
+            },
+        },
+        Err(e) => Pending::Rejected {
+            id,
+            error: e,
+            busy: false,
+            slot: None,
+            trace: req.trace,
+        },
+    }
+}
+
+/// Runs one `RELOAD <model> <path> [trace=<traceparent>]` verb (`rest` is
+/// the text after `RELOAD`) and returns the reply line.
+fn reload(srv: &SnapshotRegistry, rest: &str) -> String {
+    let mut parts: Vec<&str> = rest.split_whitespace().collect();
+    // An optional trailing `trace=<traceparent>` joins the publisher's
+    // trace; malformed values are dropped (never an error) so the verb
+    // grammar stays compatible both ways.
+    let remote = if parts.len() == 3 && parts[2].starts_with("trace=") {
+        let c = telemetry::ctx::TraceContext::parse(&parts[2]["trace=".len()..]).ok();
+        parts.pop();
+        c
+    } else {
+        None
+    };
+    if parts.len() != 2 {
+        return format!(
+            "{{\"ok\":false,\"verb\":\"reload\",\"error\":{}}}",
+            json_str("RELOAD expects: RELOAD <model> <path.cdclsnap>")
+        );
+    }
+    // Locals drop in reverse order: the `reload` span pops before the
+    // remote-parent guard detaches.
+    let _remote_guard = remote.map(telemetry::ctx::attach);
+    let reload_span = telemetry::span("reload");
+    match srv.load(parts[0], Path::new(parts[1])) {
+        Ok((slot, version)) => {
+            // Arm the first-serve marker: the next batch on this version
+            // completes the publish→visible trace.
+            if let Some(c) = reload_span.context() {
+                slot.set_pending_first_serve(version, c);
+            }
+            let m = slot.current();
+            format!(
+                "{{\"ok\":true,\"verb\":\"reload\",\"model\":\"{}\",\"version\":{},\"tasks\":{},\"centroid_tasks\":{}}}",
+                slot.id(),
+                version,
+                m.trainer.model().num_tasks(),
+                m.trainer
+                    .task_centroids()
+                    .iter()
+                    .filter(|c| c.shape()[0] > 0)
+                    .count()
+            )
+        }
+        Err(e) => format!(
+            "{{\"ok\":false,\"verb\":\"reload\",\"error\":{}}}",
+            json_str(&e)
+        ),
+    }
 }
 
 /// The serve loop over one already-open stream (stdio mode, tests).
@@ -987,133 +963,22 @@ pub fn serve_stream(
     args: &ServeArgs,
     stats: &ServeStats,
 ) -> std::io::Result<()> {
-    serve_lines(srv, None, reader, writer, args, stats)
+    let mut session = ServeSession::new(srv, args, stats);
+    net::serve_lines(&NET, reader, writer, &mut session)
 }
 
-/// Answers an HTTP `GET /metrics` scrape: consumes the request headers,
-/// writes a minimal HTTP/1.0 response carrying the Prometheus exposition,
-/// and lets the connection close.
-fn serve_http_metrics(
-    request_line: &str,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-) -> std::io::Result<()> {
-    // Drain headers until the blank line so the client sees a clean close.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-            break;
-        }
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = if path == "/metrics" {
-        ("200 OK", registry_prometheus())
-    } else {
-        (
-            "404 Not Found",
-            format!("no such path {path}; try /metrics\n"),
-        )
-    };
-    write!(
-        writer,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
-}
-
-/// Handles one accepted connection: sniffs the first line (HTTP `GET` →
-/// `/metrics` scrape, anything else → the JSONL protocol) and runs it to
-/// completion. All failures are connection-local.
-fn handle_conn(srv: &SnapshotRegistry, conn: TcpStream, args: &ServeArgs, stats: &ServeStats) {
-    // Accepted sockets can inherit the listener's nonblocking flag on some
-    // platforms; the per-connection protocol wants plain blocking IO.
-    if let Err(e) = conn.set_nonblocking(false) {
-        ACCEPT_ERRORS_TOTAL.inc();
-        eprintln!("cdcl-serve: cannot configure accepted connection (dropping it): {e}");
-        return;
-    }
-    let peer = conn.peer_addr().map(|a| a.to_string());
-    let cloned = match conn.try_clone() {
-        Ok(c) => c,
-        Err(e) => {
-            // A failed clone (EMFILE under fd pressure) costs this
-            // connection, never the server.
-            ACCEPT_ERRORS_TOTAL.inc();
-            eprintln!("cdcl-serve: cannot clone connection {peer:?} (dropping it): {e}");
-            return;
-        }
-    };
-    let mut reader = BufReader::new(cloned);
-    let mut writer = BufWriter::new(conn);
-    let mut first = String::new();
-    let result = match reader.read_line(&mut first) {
-        Ok(0) => Ok(()),
-        Ok(_) if first.starts_with("GET ") => serve_http_metrics(&first, &mut reader, &mut writer),
-        Ok(_) => serve_lines(srv, Some(first), &mut reader, &mut writer, args, stats),
-        Err(e) => Err(e),
-    };
-    if let Err(e) = result {
-        eprintln!("cdcl-serve: connection {peer:?} dropped: {e}");
-    }
-}
-
-/// The TCP accept loop: `args.threads` workers share one nonblocking
-/// listener, each accepting and serving connections independently — heavy
-/// compute inside a connection still fans out through the kernel pool.
-/// Exits after `args.conns` connections in total (0 = run forever).
-///
-/// A failed `accept()` (transient `EMFILE`, `ECONNABORTED`, …) is logged,
-/// counted in `cdcl_serve_accept_errors_total`, and survived: one bad
-/// accept must never kill a server holding live connections.
+/// The TCP server ([`net::run_tcp`]): `args.threads` workers, each
+/// connection its own request queue, exiting after `args.conns`
+/// connections in total (0 = run forever). A connection opening with
+/// `GET /metrics` is answered with the Prometheus exposition.
 pub fn run_tcp(
     srv: &SnapshotRegistry,
     listener: TcpListener,
     args: &ServeArgs,
     stats: &ServeStats,
 ) {
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("cdcl-serve: cannot set listener nonblocking: {e}");
-        return;
-    }
-    let stop = AtomicBool::new(false);
-    let accepted = AtomicUsize::new(0);
-    let workers = args.threads.max(1);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (listener, stop, accepted) = (&listener, &stop, &accepted);
-            s.spawn(move || loop {
-                // ordering: flag — stop latch; pairs with the Release store below, and a late accept is harmless.
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        // ordering: flag — admission count gating the stop latch; AcqRel orders it with the latch store.
-                        let n = accepted.fetch_add(1, Ordering::AcqRel) + 1;
-                        if args.conns > 0 && n >= args.conns {
-                            // ordering: flag — stop latch publication; pairs with the Acquire load above.
-                            stop.store(true, Ordering::Release);
-                        }
-                        if args.conns > 0 && n > args.conns {
-                            // A racing worker over-accepted past the
-                            // connection budget; close it unserved.
-                            continue;
-                        }
-                        handle_conn(srv, conn, args, stats);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => {
-                        ACCEPT_ERRORS_TOTAL.inc();
-                        eprintln!("cdcl-serve: accept failed (continuing): {e}");
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            });
-        }
+    net::run_tcp(&NET, listener, args.threads, args.conns, || {
+        ServeSession::new(srv, args, stats)
     });
 }
 
@@ -1143,16 +1008,9 @@ pub fn run(args: &ServeArgs) {
     let stats = ServeStats::default();
     let serving = Instant::now();
     match &args.tcp {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut reader = BufReader::new(stdin.lock());
-            let mut writer = BufWriter::new(stdout.lock());
-            serve_stream(&srv, &mut reader, &mut writer, args, &stats).expect("serve stdin/stdout");
-        }
+        None => net::run_stdio(&NET, &mut ServeSession::new(&srv, args, &stats)),
         Some(addr) => {
-            let listener =
-                TcpListener::bind(addr).unwrap_or_else(|e| panic!("cdcl-serve: bind {addr}: {e}"));
+            let listener = net::listen(&NET, addr);
             eprintln!(
                 "cdcl-serve: listening on {addr} ({} workers, {} models)",
                 args.threads,

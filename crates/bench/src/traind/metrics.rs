@@ -66,3 +66,8 @@ pub(crate) static ACCEPT_ERRORS_TOTAL: Counter = Counter::new(
     "Failed accept()/clone() calls on the TCP listener that were logged \
      and survived instead of killing the daemon",
 );
+pub(crate) static OVERSIZE_LINES_TOTAL: Counter = Counter::new(
+    "cdcl_traind_oversize_lines_total",
+    "Lines longer than the line limit, each answered with a line-too-long \
+     error before its connection was closed",
+);

@@ -12,7 +12,8 @@
 //!   a **blank line commits the window** — it is drift-scored, staged, and
 //!   answered with one JSON ack describing the detector state (and, when a
 //!   round ran, the publish outcome). `STATUS` and `METRICS` verbs and
-//!   `GET /metrics` HTTP scrapes work on any connection, as in serve;
+//!   `GET /metrics` HTTP scrapes work on any connection; transport is the
+//!   line server shared with serve ([`crate::net`]);
 //! * the **drift loop**: each committed window's target samples are scored
 //!   against the archived per-task Eq.-17 centroids
 //!   ([`cdcl_core::CdclTrainer::drift_score`]) and fed to the
@@ -38,6 +39,8 @@
 pub mod metrics;
 pub mod publish;
 
+use crate::net::{self, json_str, registry_json};
+use crate::{flag_usize, flag_value};
 use cdcl_core::{
     CdclConfig, CdclTrainer, ContinualLearner, DriftConfig, DriftDecision, DriftDetector,
     DriftScore,
@@ -48,12 +51,10 @@ use cdcl_tensor::Tensor;
 use publish::{PublishOutcome, RoundArtifact};
 use serde::Deserialize;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{BufRead, Write};
+use std::net::TcpListener;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Labels above this are rejected as malformed (they would grow the CIL
 /// head unboundedly from one bad line).
@@ -127,23 +128,6 @@ pub fn traind_usage() -> String {
         .to_string()
 }
 
-fn flag_value(argv: &[String], i: usize) -> Result<&str, String> {
-    argv.get(i + 1)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{} needs a value\n{}", argv[i], traind_usage()))
-}
-
-fn flag_usize(argv: &[String], i: usize) -> Result<usize, String> {
-    let v = flag_value(argv, i)?;
-    v.parse().map_err(|_| {
-        format!(
-            "{} expects a non-negative integer, got {v:?}\n{}",
-            argv[i],
-            traind_usage()
-        )
-    })
-}
-
 /// Parses a `cdcl-traind` argument vector; every CLI mistake is a usage
 /// error, never a panic.
 pub fn parse_args_from(argv: &[String]) -> Result<TraindArgs, String> {
@@ -151,9 +135,9 @@ pub fn parse_args_from(argv: &[String]) -> Result<TraindArgs, String> {
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
-            "--listen" => args.listen = Some(flag_value(argv, i)?.to_string()),
+            "--listen" => args.listen = Some(flag_value(argv, i, traind_usage)?.to_string()),
             "--model" => {
-                let id = flag_value(argv, i)?;
+                let id = flag_value(argv, i, traind_usage)?;
                 if !crate::serve::registry::valid_model_id(id) {
                     return Err(format!(
                         "invalid model id {id:?} (1-64 chars of [A-Za-z0-9._-])\n{}",
@@ -162,13 +146,15 @@ pub fn parse_args_from(argv: &[String]) -> Result<TraindArgs, String> {
                 }
                 args.model = id.to_string();
             }
-            "--publish-dir" => args.publish_dir = PathBuf::from(flag_value(argv, i)?),
-            "--notify" => args.notify.push(flag_value(argv, i)?.to_string()),
-            "--snapshot" => args.snapshot = Some(PathBuf::from(flag_value(argv, i)?)),
-            "--ckpt-dir" => args.ckpt_dir = Some(flag_value(argv, i)?.to_string()),
-            "--in-channels" => args.in_channels = flag_usize(argv, i)?,
+            "--publish-dir" => args.publish_dir = PathBuf::from(flag_value(argv, i, traind_usage)?),
+            "--notify" => args
+                .notify
+                .push(flag_value(argv, i, traind_usage)?.to_string()),
+            "--snapshot" => args.snapshot = Some(PathBuf::from(flag_value(argv, i, traind_usage)?)),
+            "--ckpt-dir" => args.ckpt_dir = Some(flag_value(argv, i, traind_usage)?.to_string()),
+            "--in-channels" => args.in_channels = flag_usize(argv, i, traind_usage)?,
             "--in-hw" => {
-                let v = flag_value(argv, i)?;
+                let v = flag_value(argv, i, traind_usage)?;
                 let (h, w) = v
                     .split_once('x')
                     .and_then(|(h, w)| Some((h.parse().ok()?, w.parse().ok()?)))
@@ -177,18 +163,20 @@ pub fn parse_args_from(argv: &[String]) -> Result<TraindArgs, String> {
                     })?;
                 args.in_hw = (h, w);
             }
-            "--epochs" => args.epochs = flag_usize(argv, i)?,
-            "--warmup" => args.warmup_epochs = flag_usize(argv, i)?,
-            "--seed" => args.seed = flag_usize(argv, i)? as u64,
+            "--epochs" => args.epochs = flag_usize(argv, i, traind_usage)?,
+            "--warmup" => args.warmup_epochs = flag_usize(argv, i, traind_usage)?,
+            "--seed" => args.seed = flag_usize(argv, i, traind_usage)? as u64,
             "--threads" => {
-                args.threads = flag_usize(argv, i)?;
+                args.threads = flag_usize(argv, i, traind_usage)?;
                 if args.threads == 0 {
                     return Err(format!("--threads must be positive\n{}", traind_usage()));
                 }
             }
-            "--conns" => args.conns = flag_usize(argv, i)?,
-            "--bootstrap-windows" => args.bootstrap_windows = flag_usize(argv, i)?.max(1),
-            "--max-stage" => args.max_stage = flag_usize(argv, i)?.max(1),
+            "--conns" => args.conns = flag_usize(argv, i, traind_usage)?,
+            "--bootstrap-windows" => {
+                args.bootstrap_windows = flag_usize(argv, i, traind_usage)?.max(1)
+            }
+            "--max-stage" => args.max_stage = flag_usize(argv, i, traind_usage)?.max(1),
             other => return Err(format!("unknown argument {other}\n{}", traind_usage())),
         }
         i += 2;
@@ -204,11 +192,7 @@ pub fn parse_args_from(argv: &[String]) -> Result<TraindArgs, String> {
 
 /// Parses the process argument vector, exiting with usage on any error.
 pub fn parse_args() -> TraindArgs {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    parse_args_from(&argv).unwrap_or_else(|e| {
-        eprintln!("cdcl-traind: {e}");
-        std::process::exit(2);
-    })
+    crate::parse_cli("cdcl-traind", parse_args_from)
 }
 
 /// One ingest line.
@@ -559,19 +543,6 @@ impl TraindDaemon {
     pub fn status(&self) -> String {
         lock_traind(&self.state, "traind.state").status_json()
     }
-
-    /// Tasks currently held by the online trainer.
-    pub fn tasks(&self) -> usize {
-        lock_traind(&self.state, "traind.state")
-            .trainer
-            .model()
-            .num_tasks()
-    }
-}
-
-/// JSON-escapes a message for the hand-assembled replies.
-fn json_str(s: &str) -> String {
-    serde_json::to_string(s).expect("serialize string")
 }
 
 fn fmt_opt_f64(v: Option<f64>) -> String {
@@ -586,16 +557,6 @@ fn fmt_opt_usize(v: Option<usize>) -> String {
         Some(x) => format!("{x}"),
         None => "null".to_string(),
     }
-}
-
-fn registry_json() -> String {
-    cdcl_tensor::kernels::publish_registry();
-    cdcl_obs::global().render_json()
-}
-
-fn registry_prometheus() -> String {
-    cdcl_tensor::kernels::publish_registry();
-    cdcl_obs::global().render_prometheus()
 }
 
 /// Renders one window ack from the commit outcome and the (possibly
@@ -713,33 +674,25 @@ fn process_line(d: &TraindDaemon, trimmed: &str) -> Option<String> {
     }
 }
 
-/// The ingest loop over one line stream. `first_line` carries a line the
-/// caller already consumed while sniffing the protocol.
-fn traind_lines(
-    d: &TraindDaemon,
-    first_line: Option<String>,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    let mut first = first_line;
-    loop {
-        let current = match first.take() {
-            Some(l) => l,
-            None => {
-                line.clear();
-                if reader.read_line(&mut line)? == 0 {
-                    break; // EOF
-                }
-                line.clone()
+/// The daemon identity the shared line server records into.
+static NET: net::Daemon = net::Daemon {
+    name: "cdcl-traind",
+    accept_errors: &metrics::ACCEPT_ERRORS_TOTAL,
+    oversize_lines: &metrics::OVERSIZE_LINES_TOTAL,
+};
+
+/// The ingest protocol on one stream: every line is handled on its own,
+/// so a connection needs no state beyond the daemon.
+impl net::Session for &TraindDaemon {
+    fn line(&mut self, line: &str, out: &mut dyn Write) -> std::io::Result<()> {
+        match process_line(self, line) {
+            Some(reply) => {
+                writeln!(out, "{reply}")?;
+                out.flush()
             }
-        };
-        if let Some(reply) = process_line(d, current.trim()) {
-            writeln!(writer, "{reply}")?;
-            writer.flush()?;
+            None => Ok(()),
         }
     }
-    Ok(())
 }
 
 /// The ingest loop over one already-open stream (stdio mode, tests).
@@ -748,117 +701,15 @@ pub fn ingest_stream(
     reader: &mut dyn BufRead,
     writer: &mut dyn Write,
 ) -> std::io::Result<()> {
-    traind_lines(d, None, reader, writer)
+    net::serve_lines(&NET, reader, writer, &mut { d })
 }
 
-/// Answers an HTTP `GET /metrics` scrape, exactly as `cdcl-serve` does.
-fn http_metrics(
-    request_line: &str,
-    reader: &mut dyn BufRead,
-    writer: &mut dyn Write,
-) -> std::io::Result<()> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || line.trim().is_empty() {
-            break;
-        }
-    }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = if path == "/metrics" {
-        ("200 OK", registry_prometheus())
-    } else {
-        (
-            "404 Not Found",
-            format!("no such path {path}; try /metrics\n"),
-        )
-    };
-    write!(
-        writer,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    writer.flush()
-}
-
-/// Handles one accepted connection: `GET ` → metrics scrape, anything else
-/// → the ingest protocol. All failures are connection-local.
-fn handle_conn(d: &TraindDaemon, conn: TcpStream) {
-    if let Err(e) = conn.set_nonblocking(false) {
-        metrics::ACCEPT_ERRORS_TOTAL.inc();
-        eprintln!("cdcl-traind: cannot configure accepted connection (dropping it): {e}");
-        return;
-    }
-    let peer = conn.peer_addr().map(|a| a.to_string());
-    let cloned = match conn.try_clone() {
-        Ok(c) => c,
-        Err(e) => {
-            metrics::ACCEPT_ERRORS_TOTAL.inc();
-            eprintln!("cdcl-traind: cannot clone connection {peer:?} (dropping it): {e}");
-            return;
-        }
-    };
-    let mut reader = BufReader::new(cloned);
-    let mut writer = BufWriter::new(conn);
-    let mut first = String::new();
-    let result = match reader.read_line(&mut first) {
-        Ok(0) => Ok(()),
-        Ok(_) if first.starts_with("GET ") => http_metrics(&first, &mut reader, &mut writer),
-        Ok(_) => traind_lines(d, Some(first), &mut reader, &mut writer),
-        Err(e) => Err(e),
-    };
-    if let Err(e) = result {
-        eprintln!("cdcl-traind: connection {peer:?} dropped: {e}");
-    }
-}
-
-/// The TCP accept loop: `args.threads` workers share one nonblocking
-/// listener (the `cdcl-serve` pattern). Exits after `args.conns`
-/// connections in total (0 = run forever). Failed accepts are logged,
-/// counted, and survived.
+/// The TCP server ([`net::run_tcp`]): `args.threads` workers, exiting
+/// after `args.conns` connections in total (0 = run forever). A
+/// connection opening with `GET /metrics` is answered with the Prometheus
+/// exposition.
 pub fn run_tcp(d: &TraindDaemon, listener: TcpListener) {
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("cdcl-traind: cannot set listener nonblocking: {e}");
-        return;
-    }
-    let stop = AtomicBool::new(false);
-    let accepted = AtomicUsize::new(0);
-    let workers = d.args.threads.max(1);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            let (listener, stop, accepted) = (&listener, &stop, &accepted);
-            s.spawn(move || loop {
-                // ordering: flag — stop latch; pairs with the Release store below, and a late accept is harmless.
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((conn, _)) => {
-                        // ordering: flag — admission count gating the stop latch; AcqRel orders it with the latch store.
-                        let n = accepted.fetch_add(1, Ordering::AcqRel) + 1;
-                        if d.args.conns > 0 && n >= d.args.conns {
-                            // ordering: flag — stop latch publication; pairs with the Acquire load above.
-                            stop.store(true, Ordering::Release);
-                        }
-                        if d.args.conns > 0 && n > d.args.conns {
-                            // A racing worker over-accepted past the
-                            // connection budget; close it unserved.
-                            continue;
-                        }
-                        handle_conn(d, conn);
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    Err(e) => {
-                        metrics::ACCEPT_ERRORS_TOTAL.inc();
-                        eprintln!("cdcl-traind: accept failed (continuing): {e}");
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                }
-            });
-        }
-    });
+    net::run_tcp(&NET, listener, d.args.threads, d.args.conns, || d);
 }
 
 /// Builds the online trainer: warm-started from `--snapshot` when given,
@@ -910,16 +761,9 @@ pub fn run(args: TraindArgs) {
     let listen = args.listen.clone();
     let d = TraindDaemon::new(args, trainer);
     match &listen {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            let mut reader = BufReader::new(stdin.lock());
-            let mut writer = BufWriter::new(stdout.lock());
-            ingest_stream(&d, &mut reader, &mut writer).expect("traind stdin/stdout");
-        }
+        None => net::run_stdio(&NET, &mut &d),
         Some(addr) => {
-            let listener =
-                TcpListener::bind(addr).unwrap_or_else(|e| panic!("cdcl-traind: bind {addr}: {e}"));
+            let listener = net::listen(&NET, addr);
             eprintln!(
                 "cdcl-traind: listening on {addr} ({} workers)",
                 d.args.threads

@@ -5,38 +5,19 @@
 //! verifies the registry really serves the new version with the expected
 //! task and centroid counts. All of this runs **outside** the daemon's
 //! state lock — a slow or dead serve instance can delay publication, never
-//! ingest.
+//! ingest — and every step of the exchange (connect, each read and write)
+//! is bounded by [`IO_TIMEOUT`], so a serve instance that accepts but never
+//! answers costs one failed publish, not a hung committing client.
 
 use super::metrics;
 use super::TraindArgs;
+use crate::net::{field_bool, field_str, field_u64, IO_TIMEOUT};
 use cdcl_telemetry as telemetry;
 use serde::Value;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Typed field lookups over the vendored [`serde::Value`] tree.
-fn field_bool(v: &Value, name: &str) -> Option<bool> {
-    match v.field(name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-fn field_u64(v: &Value, name: &str) -> Option<u64> {
-    match v.field(name) {
-        Some(Value::Num(n)) => Some(*n as u64),
-        _ => None,
-    }
-}
-
-fn field_str<'v>(v: &'v Value, name: &str) -> Option<&'v str> {
-    match v.field(name) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
-}
 
 /// What one finished online round hands to the publish loop.
 pub struct RoundArtifact {
@@ -131,10 +112,25 @@ fn notify_one(
     path: &std::path::Path,
     round: &RoundArtifact,
 ) -> Result<ReloadAck, String> {
-    let conn = TcpStream::connect(addr).map_err(|e| format!("{addr}: connect: {e}"))?;
+    // A socket timeout surfaces as `WouldBlock` on Unix; name it.
+    let fail = |step: &str, e: std::io::Error| match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+            format!("{addr}: {step}: timed out after {IO_TIMEOUT:?}")
+        }
+        _ => format!("{addr}: {step}: {e}"),
+    };
+    let sock = addr
+        .to_socket_addrs()
+        .map_err(|e| fail("resolve", e))?
+        .next()
+        .ok_or_else(|| format!("{addr}: resolves to no address"))?;
+    let conn = TcpStream::connect_timeout(&sock, IO_TIMEOUT).map_err(|e| fail("connect", e))?;
     let cloned = conn
-        .try_clone()
-        .map_err(|e| format!("{addr}: clone: {e}"))?;
+        .set_nodelay(true)
+        .and_then(|()| conn.set_read_timeout(Some(IO_TIMEOUT)))
+        .and_then(|()| conn.set_write_timeout(Some(IO_TIMEOUT)))
+        .and_then(|()| conn.try_clone())
+        .map_err(|e| fail("configure", e))?;
     let mut reader = BufReader::new(cloned);
     let mut writer = BufWriter::new(conn);
 
@@ -148,11 +144,11 @@ fn notify_one(
     };
     writeln!(writer, "RELOAD {model} {}{trace_suffix}", path.display())
         .and_then(|()| writer.flush())
-        .map_err(|e| format!("{addr}: send RELOAD: {e}"))?;
+        .map_err(|e| fail("send RELOAD", e))?;
     let mut line = String::new();
     reader
         .read_line(&mut line)
-        .map_err(|e| format!("{addr}: read RELOAD reply: {e}"))?;
+        .map_err(|e| fail("read RELOAD reply", e))?;
     let reply: Value = serde_json::from_str(line.trim())
         .map_err(|e| format!("{addr}: bad RELOAD reply {:?}: {e}", line.trim()))?;
     if field_bool(&reply, "ok") != Some(true) {
@@ -163,11 +159,11 @@ fn notify_one(
 
     writeln!(writer, "MODELS{trace_suffix}")
         .and_then(|()| writer.flush())
-        .map_err(|e| format!("{addr}: send MODELS: {e}"))?;
+        .map_err(|e| fail("send MODELS", e))?;
     line.clear();
     reader
         .read_line(&mut line)
-        .map_err(|e| format!("{addr}: read MODELS reply: {e}"))?;
+        .map_err(|e| fail("read MODELS reply", e))?;
     let models: Value = serde_json::from_str(line.trim())
         .map_err(|e| format!("{addr}: bad MODELS reply {:?}: {e}", line.trim()))?;
     let rows = match models.field("models") {

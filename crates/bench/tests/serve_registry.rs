@@ -4,7 +4,6 @@
 //! backpressure, the CLI parser's usage errors, and the wall-clock
 //! throughput accounting.
 
-use cdcl_bench::serve::load::{parse_load_args_from, run_load, LoadArgs};
 use cdcl_bench::serve::registry::SnapshotRegistry;
 use cdcl_bench::serve::{parse_args_from, run_tcp, serve_stream, ServeArgs, ServeStats};
 use cdcl_core::{CdclConfig, CdclTrainer, ContinualLearner};
@@ -394,12 +393,6 @@ fn parse_args_rejects_malformed_command_lines_with_usage_errors() {
         args.models,
         vec![("default".to_string(), PathBuf::from("a.cdclsnap"))]
     );
-
-    // serve-load's parser gets the same treatment.
-    let err = parse_load_args_from(&argv(&["--addr"])).expect_err("usage error");
-    assert!(err.contains("needs a value"), "{err}");
-    let err = parse_load_args_from(&argv(&[])).expect_err("addr required");
-    assert!(err.contains("--addr"), "{err}");
 }
 
 /// Regression for the throughput accounting bug: RPS is served requests
@@ -423,48 +416,4 @@ fn throughput_is_measured_against_wall_clock() {
     );
     assert!((report.wall_secs - 4.0).abs() < 1e-9);
     assert!((report.latency_us.p99 - 500_000.0).abs() < 1e-9);
-}
-
-/// The `serve-load` engine end-to-end against an in-process server: every
-/// pipelined response verified, report carries sustained RPS and tail
-/// latency.
-#[test]
-fn load_generator_sustains_verified_multi_connection_traffic() {
-    let _g = SERVE_GUARD.lock().unwrap_or_else(|p| p.into_inner());
-    cdcl_obs::set_enabled(true);
-    let trainer = smoke_trainer();
-    let srv = SnapshotRegistry::new(0);
-    srv.insert_trainer("default", trainer, None)
-        .expect("register model");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr").to_string();
-    // conns: the image-length probe plus two load connections.
-    let args = args_with(|a| {
-        a.max_batch = 8;
-        a.conns = 3;
-        a.threads = 2;
-    });
-    let stats = ServeStats::default();
-
-    let report = std::thread::scope(|s| {
-        let (srv, args, stats) = (&srv, &args, &stats);
-        s.spawn(move || run_tcp(srv, listener, args, stats));
-        let load_args = LoadArgs {
-            addr,
-            conns: 2,
-            requests: 15,
-            window: 5,
-            bench_out: None,
-            ..LoadArgs::default()
-        };
-        run_load(&load_args).expect("load run verifies every response")
-    });
-    assert_eq!(report.sent, 30);
-    assert_eq!(report.ok_responses, 30);
-    assert_eq!(report.busy_responses, 0);
-    assert!(report.rps > 0.0);
-    assert!(report.latency_us.p99 >= report.latency_us.p50);
-    assert!(report.duration_secs > 0.0);
-    // The server double-counts nothing: 30 load requests + 1 probe.
-    assert_eq!(stats.requests(), 31);
 }

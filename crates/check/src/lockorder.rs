@@ -28,8 +28,9 @@
 //! deadlock *cycles* (any strongly-connected acquisition order, including
 //! self-edges — re-entering a non-reentrant `Mutex`), and *guards held
 //! across blocking calls* ([`BLOCKING_CALLS`]) inside the latency-critical
-//! paths ([`BLOCKING_SCOPES`]: the serve plane and the buffer pool), where
-//! the multi-tenant contract is "load off-lock, swap atomically".
+//! paths ([`BLOCKING_SCOPES`]: the daemons' shared line server, the serve
+//! and traind planes, and the buffer pool), where the multi-tenant
+//! contract is "load off-lock, swap atomically".
 //!
 //! Like the rest of the linter this is an approximation — closures are
 //! treated as executing inline, branch-local guards look held through the
@@ -85,9 +86,11 @@ pub const BLOCKING_CALLS: [&str; 15] = [
 ];
 
 /// Path prefixes where a guard held across a blocking call is an error:
-/// the serve request plane, the traind ingest/publish plane, and the
-/// buffer pool's free-list mutex.
-pub const BLOCKING_SCOPES: [&str; 3] = [
+/// the daemons' shared accept and line-reading path, the serve request
+/// plane, the traind ingest/publish plane, and the buffer pool's
+/// free-list mutex.
+pub const BLOCKING_SCOPES: [&str; 4] = [
+    "crates/bench/src/net.rs",
     "crates/bench/src/serve/",
     "crates/bench/src/traind/",
     "crates/tensor/src/pool.rs",
