@@ -9,13 +9,12 @@
 //! groups spans by 128-bit trace id, rebuilds each span tree (the
 //! `publish → reload` edge crosses the process boundary via the wire
 //! `trace=` field), computes the critical path of the slowest complete
-//! trace, and folds per-stage durations into `BENCH_trace.json` — whose
-//! `e2e_ms` / `*_stage_ms` keys the `bench-diff` gate classifies as
-//! lower-better.
+//! trace, and folds per-stage durations into the `--out` JSON report,
+//! whose `e2e_ms` / `*_stage_ms` blocks the repository benchmark reads.
 //!
 //! ```text
 //! trace-query traind-trace.jsonl serve-trace.jsonl \
-//!     --out BENCH_trace.json [--require-complete]
+//!     --out trace-stages.json [--require-complete]
 //! ```
 //!
 //! A trace is **complete** when it contains the full cross-process chain:
@@ -159,9 +158,10 @@ impl Pctl {
     }
 }
 
-/// The `BENCH_trace.json` payload. Key names are load-bearing: the
-/// `bench-diff` gate treats `e2e*` keys and `*_stage_*` paths as
-/// lower-better latencies.
+/// The `--out` payload. Key names are load-bearing: the repository
+/// benchmark (`crates/bench/examples/benchmark`, `trace.rs`) takes the
+/// `p50` of `e2e_ms` and of every `*_stage_ms` block as its per-stage
+/// adaptation latencies.
 #[derive(Debug, Default, Serialize)]
 struct TraceBench {
     files: usize,
@@ -368,7 +368,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: trace-query <trace.jsonl>... [--out BENCH_trace.json] [--require-complete]"
+                    "usage: trace-query <trace.jsonl>... [--out trace-stages.json] [--require-complete]"
                 );
                 return;
             }
@@ -380,7 +380,7 @@ fn main() {
     }
     if files.is_empty() {
         eprintln!(
-            "usage: trace-query <trace.jsonl>... [--out BENCH_trace.json] [--require-complete]"
+            "usage: trace-query <trace.jsonl>... [--out trace-stages.json] [--require-complete]"
         );
         std::process::exit(2);
     }

@@ -11,10 +11,10 @@
 //! 3. the online round for task 1 ran and its publish was verified live
 //!    (serve reports version 2, two tasks) with zero failed reloads.
 //!
-//! On success writes `--out` (`BENCH_traind.json`) with the two headline
+//! On success writes `--out` (a JSON report) with the two headline
 //! latencies — detection lag in windows and publish→verified-reload wall
-//! time — in a `bench-diff`-comparable `{"latency": …}` shape. Any
-//! violated assertion exits non-zero, failing the CI job.
+//! time — under `{"latency": …}`. Any violated assertion exits non-zero,
+//! failing the CI job.
 
 use cdcl_bench::net::{field_bool, field_f64, field_u64};
 use cdcl_bench::{flag_usize, flag_value, parse_cli};
@@ -53,7 +53,7 @@ struct StreamArgs {
 }
 
 fn usage() -> String {
-    "usage: traind-stream --traind <addr> [--serve <addr>] [--out BENCH_traind.json]\n\
+    "usage: traind-stream --traind <addr> [--serve <addr>] [--out traind-stream.json]\n\
      \x20   [--seed <n>] [--bootstrap <n>] [--clean <n>] [--max-shift <n>]"
         .to_string()
 }

@@ -19,7 +19,9 @@
 //!   goes to the daemon's per-connection [`Session`] as a `&str` borrowed
 //!   from one reused buffer. A line longer than [`MAX_LINE_BYTES`] gets one
 //!   `{"ok":false,"error":"line too long …"}` reply, is counted, and
-//!   closes the connection.
+//!   closes the connection — after a bounded drain of the peer's unread
+//!   input (`DRAIN_TIMEOUT`, `DRAIN_BYTES`), so the close does not
+//!   reset the connection before the peer has read the reply.
 //!
 //! Every failure is connection-local: a failed `accept()` or connection
 //! setup is logged, counted in the daemon's accept-error counter, and
@@ -28,9 +30,9 @@
 use cdcl_obs::Counter;
 use serde::Value;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The longest accepted line, excluding its terminator. The largest legal
 /// line is one serve request or traind ingest sample: a JSON array of
@@ -44,6 +46,15 @@ pub const MAX_LINE_BYTES: usize = 8 << 20;
 /// `RELOAD` on a loaded machine, short enough that a hung peer costs one
 /// stalled exchange, not a stalled daemon.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a connection refused for an oversize line keeps reading after
+/// its reply, so a client still finishing its send gets to its read. A
+/// peer that never stops sending holds the worker this long at most.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The most input a refused connection discards before it closes
+/// regardless.
+const DRAIN_BYTES: u64 = MAX_LINE_BYTES as u64;
 
 /// What the shared server needs to know about a daemon: its log prefix
 /// and the counters it records into.
@@ -91,7 +102,9 @@ fn next_line(reader: &mut dyn BufRead, buf: &mut Vec<u8>) -> std::io::Result<Nex
     })
 }
 
-/// Feeds lines to `session` from `next` onward until the stream ends.
+/// Feeds lines to `session` from `next` onward until the stream ends, and
+/// returns how it ended: [`Next::Eof`], or [`Next::Oversize`] once an
+/// oversize line has been refused.
 fn converse(
     d: &Daemon,
     mut next: Next,
@@ -99,10 +112,10 @@ fn converse(
     reader: &mut dyn BufRead,
     out: &mut dyn Write,
     session: &mut dyn Session,
-) -> std::io::Result<()> {
+) -> std::io::Result<Next> {
     loop {
         match next {
-            Next::Eof => return session.end(out),
+            Next::Eof => return session.end(out).map(|()| Next::Eof),
             Next::Oversize => {
                 session.end(out)?;
                 d.oversize_lines.inc();
@@ -110,7 +123,7 @@ fn converse(
                     out,
                     "{{\"ok\":false,\"error\":\"line too long (over {MAX_LINE_BYTES} bytes); closing connection\"}}"
                 )?;
-                return out.flush();
+                return out.flush().map(|()| Next::Oversize);
             }
             Next::Line => {
                 let line = std::str::from_utf8(buf)
@@ -132,7 +145,7 @@ pub fn serve_lines(
 ) -> std::io::Result<()> {
     let mut buf = Vec::new();
     let first = next_line(reader, &mut buf)?;
-    converse(d, first, &mut buf, reader, out, session)
+    converse(d, first, &mut buf, reader, out, session).map(drop)
 }
 
 /// Runs the line protocol over stdin/stdout; an I/O error ends the
@@ -196,13 +209,13 @@ pub fn field_str<'v>(v: &'v Value, name: &str) -> Option<&'v str> {
 /// Answers the HTTP `GET` whose request line is in `buf`: drains the
 /// headers (each bounded like any line), writes a minimal HTTP/1.0
 /// response carrying the Prometheus exposition for `/metrics`, and lets
-/// the connection close.
+/// the connection close. Returns what ended the headers.
 fn http_metrics(
     d: &Daemon,
     buf: &mut Vec<u8>,
     reader: &mut dyn BufRead,
     out: &mut dyn Write,
-) -> std::io::Result<()> {
+) -> std::io::Result<Next> {
     let request_line = String::from_utf8_lossy(buf).into_owned();
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let drained = loop {
@@ -230,7 +243,29 @@ fn http_metrics(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     )?;
-    out.flush()
+    out.flush().map(|()| drained)
+}
+
+/// Closes a connection refused for an oversize line without losing the
+/// refusal: a socket closed with unread input answers with a reset, which
+/// can discard the reply before the peer reads it. So the reply is
+/// followed by a FIN, and input is read and discarded until the peer
+/// closes, [`DRAIN_TIMEOUT`] passes, or [`DRAIN_BYTES`] have been read.
+fn drain_refused(mut conn: &TcpStream) {
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + DRAIN_TIMEOUT;
+    let mut sink = [0u8; 16 << 10];
+    let mut left = DRAIN_BYTES;
+    while left > 0 {
+        let wait = deadline.saturating_duration_since(Instant::now());
+        if wait.is_zero() || conn.set_read_timeout(Some(wait)).is_err() {
+            return;
+        }
+        match conn.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => left = left.saturating_sub(n as u64),
+        }
+    }
 }
 
 /// Sets up one accepted connection, sniffs its first line, and runs it to
@@ -265,8 +300,10 @@ fn handle_conn(d: &Daemon, conn: TcpStream, session: &mut dyn Session) {
         Ok(first) => converse(d, first, &mut buf, &mut reader, &mut writer, session),
         Err(e) => Err(e),
     };
-    if let Err(e) = result {
-        eprintln!("{}: connection {peer:?} dropped: {e}", d.name);
+    match result {
+        Ok(Next::Oversize) => drain_refused(writer.get_ref()),
+        Ok(_) => {}
+        Err(e) => eprintln!("{}: connection {peer:?} dropped: {e}", d.name),
     }
 }
 

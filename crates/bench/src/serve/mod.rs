@@ -37,6 +37,7 @@ pub mod registry;
 use crate::net::{self, json_str, registry_json};
 use crate::{flag_usize, flag_value};
 use cdcl_core::CdclTrainer;
+use cdcl_obs::HistogramCore;
 use cdcl_telemetry as telemetry;
 use cdcl_tensor::{pool, PooledBuf, Tensor};
 use metrics::{
@@ -49,7 +50,7 @@ use std::io::{BufRead, Write};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One JSON-lines prediction request.
@@ -110,39 +111,16 @@ impl Response {
 }
 
 /// Per-forward-micro-batch latency summary written to `--bench-out`
-/// (`BENCH_serve.json`).
-#[derive(Debug, Serialize)]
+/// (`BENCH_serve.json`), in microseconds. Percentiles are interpolated on
+/// the fixed log-bucket grid ([`cdcl_obs::hist`]) and clamped to the
+/// observed range.
+#[derive(Debug, Default, Serialize)]
 pub struct LatencySummary {
     pub mean: f64,
     pub p50: f64,
     pub p95: f64,
     pub p99: f64,
     pub max: f64,
-}
-
-impl LatencySummary {
-    /// Sorts and folds raw microsecond samples.
-    pub fn from_samples(mut lat: Vec<f64>) -> Self {
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let pct = |q: f64| -> f64 {
-            if lat.is_empty() {
-                return 0.0;
-            }
-            let idx = ((lat.len() as f64 - 1.0) * q).round() as usize;
-            lat[idx]
-        };
-        Self {
-            mean: if lat.is_empty() {
-                0.0
-            } else {
-                lat.iter().sum::<f64>() / lat.len() as f64
-            },
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-            max: lat.last().copied().unwrap_or(0.0),
-        }
-    }
 }
 
 /// The `BENCH_serve.json` payload.
@@ -167,14 +145,35 @@ pub struct ServeReport {
     pub throughput_rps: f64,
 }
 
-/// Running serve statistics, shared by every connection worker.
-#[derive(Debug, Default)]
+/// Running serve statistics, shared by every connection worker. Fixed
+/// size and lock-free however long the server runs: counters, a latency
+/// histogram, and the latency range as `f64` bits (non-negative floats
+/// order like their bit patterns).
+#[derive(Debug)]
 pub struct ServeStats {
     requests: AtomicU64,
     failed: AtomicU64,
     busy: AtomicU64,
-    /// `(batch_size, latency_us)` per forward pass.
-    batches: Mutex<Vec<(usize, f64)>>,
+    batches: AtomicU64,
+    served: AtomicU64,
+    latency_us: HistogramCore,
+    min_latency_bits: AtomicU64,
+    max_latency_bits: AtomicU64,
+}
+
+impl Default for ServeStats {
+    fn default() -> Self {
+        Self {
+            requests: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+            busy: AtomicU64::new(0),
+            batches: AtomicU64::new(0),
+            served: AtomicU64::new(0),
+            latency_us: HistogramCore::default(),
+            min_latency_bits: AtomicU64::new(f64::INFINITY.to_bits()),
+            max_latency_bits: AtomicU64::new(0),
+        }
+    }
 }
 
 impl ServeStats {
@@ -211,22 +210,49 @@ impl ServeStats {
         self.busy.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one executed forward pass.
+    /// Records one executed forward pass; `latency_us` is a measured,
+    /// non-negative duration.
     pub fn add_batch(&self, batch_size: usize, latency_us: f64) {
-        lock_batches(&self.batches, "serve.batches").push((batch_size, latency_us));
+        // ordering: stat — report-only aggregates; no memory is published
+        // through them.
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.served.fetch_add(batch_size as u64, Ordering::Relaxed);
+        self.min_latency_bits
+            .fetch_min(latency_us.to_bits(), Ordering::Relaxed);
+        self.max_latency_bits
+            .fetch_max(latency_us.to_bits(), Ordering::Relaxed);
+        self.latency_us.observe(latency_us);
     }
 
     /// Forward passes executed so far.
     pub fn batch_count(&self) -> u64 {
-        lock_batches(&self.batches, "serve.batches").len() as u64
+        // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
+        self.batches.load(Ordering::Relaxed)
     }
 
     /// Requests that went through a forward pass.
     pub fn served(&self) -> u64 {
-        lock_batches(&self.batches, "serve.batches")
-            .iter()
-            .map(|&(n, _)| n as u64)
-            .sum()
+        // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
+        self.served.load(Ordering::Relaxed)
+    }
+
+    /// The forward-latency summary; all zero before the first batch.
+    fn latency_summary(&self) -> LatencySummary {
+        let count = self.latency_us.count();
+        if count == 0 {
+            return LatencySummary::default();
+        }
+        // ordering: stat — report-time reads of the latency range.
+        let min = f64::from_bits(self.min_latency_bits.load(Ordering::Relaxed));
+        let max = f64::from_bits(self.max_latency_bits.load(Ordering::Relaxed));
+        let pct = |q: f64| self.latency_us.percentile(q).max(min).min(max);
+        LatencySummary {
+            mean: self.latency_us.sum() / count as f64,
+            p50: pct(0.50),
+            p95: pct(0.95),
+            p99: pct(0.99),
+            max,
+        }
     }
 
     /// Folds the run into the `--bench-out` report. `wall_secs` is the
@@ -240,9 +266,7 @@ impl ServeStats {
         models: usize,
         wall_secs: f64,
     ) -> ServeReport {
-        let batches = lock_batches(&self.batches, "serve.batches").clone();
-        let served: u64 = batches.iter().map(|&(n, _)| n as u64).sum();
-        let lat: Vec<f64> = batches.iter().map(|&(_, us)| us).collect();
+        let (batches, served) = (self.batch_count(), self.served());
         ServeReport {
             snapshot: snapshot.to_string(),
             models,
@@ -252,13 +276,13 @@ impl ServeStats {
             requests: self.requests(),
             failed_requests: self.failed(),
             busy_requests: self.busy(),
-            batches: batches.len() as u64,
-            mean_batch_size: if batches.is_empty() {
+            batches,
+            mean_batch_size: if batches == 0 {
                 0.0
             } else {
-                served as f64 / batches.len() as f64
+                served as f64 / batches as f64
             },
-            latency_us: LatencySummary::from_samples(lat),
+            latency_us: self.latency_summary(),
             wall_secs,
             throughput_rps: if wall_secs > 0.0 {
                 served as f64 / wall_secs
@@ -267,19 +291,6 @@ impl ServeStats {
             },
         }
     }
-}
-
-/// Poison-tolerant batch-list lock: holders only push, so a panicked
-/// holder cannot leave the Vec inconsistent.
-fn lock_batches<'m>(
-    m: &'m Mutex<Vec<(usize, f64)>>,
-    name: &'static str,
-) -> cdcl_obs::lockhook::Witnessed<std::sync::MutexGuard<'m, Vec<(usize, f64)>>> {
-    let guard = match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    cdcl_obs::lockhook::witness_acquired(guard, name)
 }
 
 /// Parsed `cdcl-serve` command line.

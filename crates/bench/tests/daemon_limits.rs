@@ -1,6 +1,8 @@
 //! Bounded input and bounded waits on the daemons' sockets (DESIGN.md §13,
 //! §15): an unterminated line past the line limit is refused with one
-//! typed error, counted, and closes only its own connection; a serve
+//! typed error, counted, and closes only its own connection — also when
+//! the client is still sending past the limit, which must read the reply
+//! rather than a connection reset; a serve
 //! instance that accepts a publish connection but never answers fails that
 //! publish after the socket timeout instead of hanging traind.
 
@@ -24,11 +26,12 @@ fn metric(exposition: &str, name: &str) -> u64 {
         .map_or(0, |v| v as u64)
 }
 
-/// Sends one unterminated line of `MAX_LINE_BYTES + 1` bytes and returns
-/// the reply line, asserting the daemon then closes the connection.
-fn send_oversize_line(addr: SocketAddr) -> String {
+/// Sends one unterminated line of `len > MAX_LINE_BYTES` bytes and
+/// returns the reply line, asserting the daemon then closes the
+/// connection. Every step fails on a connection reset.
+fn send_oversize_line(addr: SocketAddr, len: usize) -> String {
     let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+    conn.write_all(&vec![b'x'; len])
         .expect("send oversize line");
     let mut reader = BufReader::new(conn);
     let mut reply = String::new();
@@ -60,6 +63,16 @@ fn scrape(addr: SocketAddr) -> String {
     body
 }
 
+/// Daemon state for a server thread that is not scoped: a failed check
+/// then fails the test at once instead of waiting forever on a server
+/// whose connection budget the test no longer spends.
+fn leak<T>(v: T) -> &'static T {
+    Box::leak(Box::new(v))
+}
+
+/// A line that is still being sent well after the daemon has refused it.
+const NINE_MIB: usize = 9 << 20;
+
 fn assert_refusal(reply: &str) {
     let v: Value = serde_json::from_str(reply.trim()).expect("refusal is JSON");
     assert!(matches!(v.field("ok"), Some(Value::Bool(false))), "{reply}");
@@ -74,25 +87,24 @@ fn serve_refuses_an_oversize_line_and_keeps_serving() {
     cdcl_obs::set_enabled(true);
     let counter = "cdcl_serve_oversize_lines_total";
     let before = metric(&cdcl_obs::global().render_prometheus(), counter);
-    let srv = SnapshotRegistry::new(0);
-    let args = ServeArgs {
+    let srv = leak(SnapshotRegistry::new(0));
+    let args = leak(ServeArgs {
         bench_out: None,
         empty_ok: true,
-        conns: 3,
+        conns: 4,
         threads: 2,
         ..ServeArgs::default()
-    };
-    let stats = ServeStats::default();
+    });
+    let stats = leak(ServeStats::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    std::thread::scope(|s| {
-        let (srv, args, stats) = (&srv, &args, &stats);
-        s.spawn(move || cdcl_bench::serve::run_tcp(srv, listener, args, stats));
-        assert_refusal(&send_oversize_line(addr));
-        let models = ask(addr, "MODELS");
-        assert!(models.starts_with("{\"ok\":true,\"models\":"), "{models}");
-        assert_eq!(metric(&scrape(addr), counter), before + 1);
-    });
+    let server = std::thread::spawn(move || cdcl_bench::serve::run_tcp(srv, listener, args, stats));
+    assert_refusal(&send_oversize_line(addr, MAX_LINE_BYTES + 1));
+    assert_refusal(&send_oversize_line(addr, NINE_MIB));
+    let models = ask(addr, "MODELS");
+    assert!(models.starts_with("{\"ok\":true,\"models\":"), "{models}");
+    assert_eq!(metric(&scrape(addr), counter), before + 2);
+    server.join().expect("serve exits once its budget is spent");
 }
 
 #[test]
@@ -102,21 +114,26 @@ fn traind_refuses_an_oversize_line_and_keeps_serving() {
     let before = metric(&cdcl_obs::global().render_prometheus(), counter);
     let args = TraindArgs {
         threads: 2,
-        conns: 3,
+        conns: 4,
         ..TraindArgs::default()
     };
     let trainer = build_trainer(&args).expect("fresh trainer");
-    let daemon = TraindDaemon::with_drift_config(args, trainer, DriftConfig::default());
+    let daemon = leak(TraindDaemon::with_drift_config(
+        args,
+        trainer,
+        DriftConfig::default(),
+    ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    std::thread::scope(|s| {
-        let daemon = &daemon;
-        s.spawn(move || cdcl_bench::traind::run_tcp(daemon, listener));
-        assert_refusal(&send_oversize_line(addr));
-        let status = ask(addr, "STATUS");
-        assert!(status.starts_with("{\"ok\":true,\"status\":"), "{status}");
-        assert_eq!(metric(&scrape(addr), counter), before + 1);
-    });
+    let server = std::thread::spawn(move || cdcl_bench::traind::run_tcp(daemon, listener));
+    assert_refusal(&send_oversize_line(addr, MAX_LINE_BYTES + 1));
+    assert_refusal(&send_oversize_line(addr, NINE_MIB));
+    let status = ask(addr, "STATUS");
+    assert!(status.starts_with("{\"ok\":true,\"status\":"), "{status}");
+    assert_eq!(metric(&scrape(addr), counter), before + 2);
+    server
+        .join()
+        .expect("traind exits once its budget is spent");
 }
 
 #[test]

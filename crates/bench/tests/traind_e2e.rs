@@ -196,7 +196,10 @@ fn closed_loop_detects_trains_and_publishes_live() {
 
         // Live prediction client: starts once version 1 is being served,
         // then sends requests one at a time right through the version-2
-        // hot reload. Every request must be answered, none dropped.
+        // hot reload. Every request must be answered, none dropped. Its
+        // last request is sent after the stop flag is seen, and so after
+        // version 2 was verified live: a request already in flight during
+        // the swap rightly finishes on version 1.
         let (serving_v1, stop_load) = (&serving_v1, &stop_load);
         let serve_addr_for_load = serve_addr.clone();
         let load = s.spawn(move || {
@@ -211,6 +214,7 @@ fn closed_loop_detects_trains_and_publishes_live() {
             let mut answered = 0u64;
             let mut seen_versions = Vec::new();
             loop {
+                let last = stop_load.load(Ordering::Acquire);
                 writeln!(
                     writer,
                     "{{\"id\":{answered},\"mode\":\"cil\",\"image\":[{zeros}]}}"
@@ -228,7 +232,7 @@ fn closed_loop_detects_trains_and_publishes_live() {
                     seen_versions.push(version);
                 }
                 answered += 1;
-                if stop_load.load(Ordering::Acquire) {
+                if last {
                     break;
                 }
             }

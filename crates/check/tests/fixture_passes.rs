@@ -117,12 +117,7 @@ fn workspace_passes_are_clean() {
         .iter()
         .flat_map(|f| f.acquisitions.iter().map(|a| a.label.as_str()))
         .collect();
-    for expected in [
-        "pool.classes",
-        "registry.models",
-        "registry.current",
-        "serve.batches",
-    ] {
+    for expected in ["pool.classes", "registry.models", "registry.current"] {
         assert!(
             labels.contains(expected),
             "label {expected} missing from {labels:?}"

@@ -1,17 +1,21 @@
 //! Buffer-pool contract, end to end (DESIGN.md §12): recycling tensor
 //! storage through the size-classed pool must be **bitwise invisible** —
 //! the pool decides where buffers live, never what a caller reads from
-//! them — and must actually hit in steady state.
+//! them — must actually hit in steady state, and a warmed training step
+//! on a persistent tape must allocate nothing through the pool at all.
 //!
 //! Everything runs inside one `#[test]` so the process-wide
 //! `CDCL_POOL`-style runtime toggle and the global pool counters are never
 //! raced by a sibling test thread.
 
+use cdcl::autograd::Graph;
 use cdcl::core::{CdclConfig, CdclTrainer, ContinualLearner};
 use cdcl::data::{mnist_usps, MnistUspsDirection, Scale};
-use cdcl::nn::Module;
-use cdcl::tensor::kernels;
-use cdcl::tensor::pool;
+use cdcl::nn::{Backbone, BackboneConfig, Module, TilHeads};
+use cdcl::optim::{Optimizer, Sgd};
+use cdcl::tensor::{kernels, pool, Tensor};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Trains two tasks single-threaded and returns the final parameters, both
 /// TIL accuracies, and the pool-counter delta over the *second* task — the
@@ -35,6 +39,54 @@ fn train() -> (Vec<(String, Vec<f32>)>, f64, f64, pool::PoolStats) {
         .map(|p| (p.name(), p.value().data().to_vec()))
         .collect();
     (params, acc0, acc1, steady)
+}
+
+/// Pool-counter delta over `MEASURED_STEPS` training steps taken after
+/// `WARMUP_STEPS` warm-up steps. The rig is the trainer's step loop in
+/// miniature: one persistent [`Graph`] reset between steps, the default
+/// backbone (16×16 input, conv tokenizer, 2-layer task-keyed encoder,
+/// `d = 32`) + TIL head, nll loss, backward and an SGD update, on a batch
+/// of 8 images.
+fn steady_state_step_allocations() -> pool::PoolStats {
+    const BATCH: usize = 8;
+    const CLASSES: usize = 4;
+    const WARMUP_STEPS: usize = 5;
+    const MEASURED_STEPS: usize = 20;
+
+    let mut rng = SmallRng::seed_from_u64(7);
+    let config = BackboneConfig::default();
+    let (channels, hw, embed) = (config.in_channels, config.in_hw, config.embed_dim);
+    let mut backbone = Backbone::new(&mut rng, config);
+    backbone.add_task(&mut rng);
+    let mut heads = TilHeads::new(embed);
+    heads.add_task(&mut rng, CLASSES);
+    let mut params = backbone.params();
+    params.extend(heads.params());
+    let mut opt = Sgd::new(params, 0.9);
+    let img = Tensor::randn(&mut rng, &[BATCH, channels, hw.0, hw.1], 1.0);
+    let labels: Vec<usize> = (0..BATCH).map(|i| i % CLASSES).collect();
+    let mut graph = Graph::new();
+
+    let mut step = || {
+        graph.reset_for_step();
+        let x = graph.input(img.clone());
+        let z = backbone.features_self(&mut graph, x, 0);
+        let logits = heads.forward(&mut graph, z, 0);
+        let lp = graph.log_softmax_last(logits);
+        let loss = graph.nll_loss(lp, &labels);
+        graph.backward(loss);
+        opt.step(0.05);
+        opt.zero_grad();
+        assert!(graph.value(loss).all_finite(), "training step diverged");
+    };
+    for _ in 0..WARMUP_STEPS {
+        step();
+    }
+    let before = pool::pool_stats();
+    for _ in 0..MEASURED_STEPS {
+        step();
+    }
+    pool::pool_stats().delta_since(&before)
 }
 
 #[test]
@@ -79,4 +131,17 @@ fn pooled_and_plain_allocation_are_bitwise_identical_and_pool_hits() {
         // recycled-buffer garbage anywhere in the stack shows up here.
         assert_eq!(pooled, plain, "param {name} diverged with pool off");
     }
+
+    // C: the zero-allocation steady state, at the default (or
+    // CDCL_THREADS) thread count, with the pool switched on explicitly so
+    // the contract also holds under CDCL_POOL=0.
+    pool::set_enabled(true);
+    let steps = steady_state_step_allocations();
+    assert!(steps.hits > 0, "the training step never touched the pool");
+    assert_eq!(
+        (steps.misses, steps.alloc_bytes),
+        (0, 0),
+        "a warmed training step allocated through the pool ({} hits)",
+        steps.hits
+    );
 }
