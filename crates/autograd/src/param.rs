@@ -17,10 +17,10 @@ struct ParamInner {
 ///
 /// Cloning a `Param` is cheap and aliases the same storage — modules hand
 /// clones to optimizers and graphs. Storage is `Arc<RwLock>`, so a model is
-/// `Send + Sync` and read-only passes (evaluation, feature extraction) can
-/// run on the worker threads of `cdcl_tensor::kernels::pool`. Training
-/// steps remain sequential; the lock is uncontended there and its overhead
-/// is noise next to the GEMMs.
+/// `Send + Sync` and one published snapshot can serve read-only passes on
+/// several daemon connection workers at once. Training steps are
+/// sequential; the lock is uncontended there and its overhead is noise next
+/// to the GEMMs.
 #[derive(Clone)]
 pub struct Param {
     inner: Arc<RwLock<ParamInner>>,

@@ -40,7 +40,6 @@ struct TaskAgg {
     /// Kernel counters attributed to learning this task.
     gemm_calls: u64,
     gemm_fmas: u64,
-    pool_spawns: u64,
     /// Watchdog trips and warnings recorded against this task.
     watchdogs: usize,
     warnings: usize,
@@ -155,7 +154,6 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
             Some("counters") => {
                 agg.gemm_calls += num(&v, "gemm_calls").unwrap_or(0.0) as u64;
                 agg.gemm_fmas += num(&v, "gemm_fmas").unwrap_or(0.0) as u64;
-                agg.pool_spawns += num(&v, "pool_spawns").unwrap_or(0.0) as u64;
             }
             Some("watchdog") => agg.watchdogs += 1,
             Some("warn") => agg.warnings += 1,
@@ -201,15 +199,15 @@ fn render_markdown(s: &Summary) -> String {
     ));
     out.push_str(
         "| task | steps | loss first | loss last | pair agree | flip rate \
-         | mem occ | GEMM calls | GEMM FMAs | spawns | watchdog | warn |\n",
+         | mem occ | GEMM calls | GEMM FMAs | watchdog | warn |\n",
     );
     out.push_str(
         "|-----:|------:|-----------:|----------:|-----------:|----------:\
-         |--------:|-----------:|----------:|-------:|---------:|-----:|\n",
+         |--------:|-----------:|----------:|---------:|-----:|\n",
     );
     for t in &s.tasks {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |\n",
             t.task,
             t.steps,
             fmt_opt(t.loss_first),
@@ -219,7 +217,6 @@ fn render_markdown(s: &Summary) -> String {
             t.memory_occupancy.map_or(0, |v| v as usize),
             t.gemm_calls,
             t.gemm_fmas,
-            t.pool_spawns,
             t.watchdogs,
             t.warnings,
         ));
@@ -318,7 +315,7 @@ mod tests {
             r#"{"seq":2,"ms":2.0,"ev":"scalar","name":"loss_warmup","task":0,"epoch":0,"step":0,"value":2.5}"#,
             r#"{"seq":3,"ms":3.0,"ev":"scalar","name":"loss_total","task":0,"epoch":2,"step":0,"value":1.25}"#,
             r#"{"seq":4,"ms":4.0,"ev":"scalar","name":"pair_agreement","task":0,"epoch":2,"value":0.75}"#,
-            r#"{"seq":5,"ms":5.0,"ev":"counters","task":0,"gemm_calls":10,"gemm_fmas":1000,"pool_spawns":4}"#,
+            r#"{"seq":5,"ms":5.0,"ev":"counters","task":0,"gemm_calls":10,"gemm_fmas":1000}"#,
             r#"{"seq":6,"ms":6.0,"ev":"scalar","name":"memory_occupancy","task":1,"value":30}"#,
         ]));
         assert_eq!(s.events, 7);
@@ -332,7 +329,6 @@ mod tests {
         assert_eq!(t0.pair_agreement, Some(0.75));
         assert_eq!(t0.gemm_calls, 10);
         assert_eq!(t0.gemm_fmas, 1000);
-        assert_eq!(t0.pool_spawns, 4);
         assert_eq!(t0.phase_ms, vec![("warmup".to_string(), 15.0)]);
         assert_eq!(s.tasks[1].memory_occupancy, Some(30.0));
         // The two warmup spans (10 ms, 5 ms → 10000 µs, 5000 µs) land in the

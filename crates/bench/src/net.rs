@@ -320,8 +320,8 @@ pub fn listen(d: &Daemon, addr: &str) -> TcpListener {
 /// with a fresh rendezvous sender; the acceptor takes one, accepts, and
 /// hands the connection over. Once `conns` connections are accepted
 /// (0 = never) the acceptor drops its end, every idle worker's hand-off
-/// fails, and the loop returns when the busy ones finish. Heavy compute
-/// inside a connection still fans out through the kernel pool.
+/// fails, and the loop returns when the busy ones finish. Each worker
+/// runs its connection's compute on its own thread.
 ///
 /// A failed `accept()` (transient `EMFILE`, `ECONNABORTED`, …) is logged,
 /// counted, and survived after a 5 ms back-off, so fd exhaustion cannot

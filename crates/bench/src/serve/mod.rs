@@ -19,9 +19,9 @@
 //! Transport is the shared line server ([`crate::net`]): `--threads`
 //! workers behind one acceptor, `TCP_NODELAY`, bounded lines, and a failed
 //! `accept()`/`try_clone()` logged and counted
-//! (`cdcl_serve_accept_errors_total`), never fatal. Heavy compute stays in
-//! the zero-dep kernel pool — connection workers only stage batches and
-//! run forward passes, which parallelize internally. Observability
+//! (`cdcl_serve_accept_errors_total`), never fatal. Each connection worker
+//! stages its batches and runs their forward passes on its own thread; the
+//! workers are where serving's parallelism comes from. Observability
 //! (DESIGN.md §11): every micro-batch feeds the global and per-model
 //! histograms/counters, `GET /metrics` on the listener answers the
 //! Prometheus exposition, the bare line `METRICS` returns the registry as

@@ -17,6 +17,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Instant;
 
+mod common;
+use common::{leak, Daemon};
+
 /// The value of an unlabeled series in a Prometheus exposition (0 when the
 /// series has not been recorded yet).
 fn metric(exposition: &str, name: &str) -> u64 {
@@ -63,13 +66,6 @@ fn scrape(addr: SocketAddr) -> String {
     body
 }
 
-/// Daemon state for a server thread that is not scoped: a failed check
-/// then fails the test at once instead of waiting forever on a server
-/// whose connection budget the test no longer spends.
-fn leak<T>(v: T) -> &'static T {
-    Box::leak(Box::new(v))
-}
-
 /// A line that is still being sent well after the daemon has refused it.
 const NINE_MIB: usize = 9 << 20;
 
@@ -98,13 +94,13 @@ fn serve_refuses_an_oversize_line_and_keeps_serving() {
     let stats = leak(ServeStats::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || cdcl_bench::serve::run_tcp(srv, listener, args, stats));
+    let server = Daemon::spawn(move || cdcl_bench::serve::run_tcp(srv, listener, args, stats));
     assert_refusal(&send_oversize_line(addr, MAX_LINE_BYTES + 1));
     assert_refusal(&send_oversize_line(addr, NINE_MIB));
     let models = ask(addr, "MODELS");
     assert!(models.starts_with("{\"ok\":true,\"models\":"), "{models}");
     assert_eq!(metric(&scrape(addr), counter), before + 2);
-    server.join().expect("serve exits once its budget is spent");
+    server.join();
 }
 
 #[test]
@@ -125,15 +121,13 @@ fn traind_refuses_an_oversize_line_and_keeps_serving() {
     ));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let server = std::thread::spawn(move || cdcl_bench::traind::run_tcp(daemon, listener));
+    let server = Daemon::spawn(move || cdcl_bench::traind::run_tcp(daemon, listener));
     assert_refusal(&send_oversize_line(addr, MAX_LINE_BYTES + 1));
     assert_refusal(&send_oversize_line(addr, NINE_MIB));
     let status = ask(addr, "STATUS");
     assert!(status.starts_with("{\"ok\":true,\"status\":"), "{status}");
     assert_eq!(metric(&scrape(addr), counter), before + 2);
-    server
-        .join()
-        .expect("traind exits once its budget is spent");
+    server.join();
 }
 
 #[test]

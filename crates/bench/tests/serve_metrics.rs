@@ -12,6 +12,9 @@ use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::Mutex;
 
+mod common;
+use common::{leak, Daemon};
+
 /// Registry state is process-global; tests must not overlap.
 static SERVE_GUARD: Mutex<()> = Mutex::new(());
 
@@ -61,74 +64,70 @@ fn tcp_round_trip_then_metrics_scrape() {
     let lines: Vec<String> = (1..=3u64)
         .map(|id| request_line(&trainer, id, if id % 2 == 0 { "cil" } else { "til" }))
         .collect();
-    let srv = smoke_registry(trainer);
+    let srv = leak(smoke_registry(trainer));
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr");
-    let args = serve_args(2, 2);
-    let stats = ServeStats::default();
+    let args = leak(serve_args(2, 2));
+    let stats = leak(ServeStats::default());
+    let server = Daemon::spawn(move || run_tcp(srv, listener, args, stats));
 
-    std::thread::scope(|s| {
-        let (srv, args, stats) = (&srv, &args, &stats);
-        s.spawn(move || {
-            run_tcp(srv, listener, args, stats);
-            assert!(stats.requests() >= 3, "server saw the JSONL requests");
-            assert!(stats.batch_count() > 0, "server executed batches");
-        });
-
-        // Connection 1: three JSONL requests (max_batch=2 forces two
-        // flushes), then EOF.
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        for line in &lines {
-            writeln!(conn, "{line}").expect("send request");
-        }
-        conn.shutdown(Shutdown::Write).expect("half-close");
-        let mut responses = String::new();
-        BufReader::new(conn)
-            .read_to_string(&mut responses)
-            .expect("read responses");
-        let lines: Vec<&str> = responses.lines().collect();
-        assert_eq!(lines.len(), 3, "one response per request: {responses}");
-        for line in &lines {
-            assert!(line.contains("\"ok\":true"), "request failed: {line}");
-            assert!(
-                line.contains("\"model\":\"default\"") && line.contains("\"version\":1"),
-                "response must name the answering model/version: {line}"
-            );
-        }
-
-        // Connection 2: an HTTP scrape on the same listener.
-        let mut conn = TcpStream::connect(addr).expect("connect for scrape");
-        write!(conn, "GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").expect("send scrape");
-        let mut scrape = String::new();
-        BufReader::new(conn)
-            .read_to_string(&mut scrape)
-            .expect("read scrape");
-
+    // Connection 1: three JSONL requests (max_batch=2 forces two
+    // flushes), then EOF.
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    for line in &lines {
+        writeln!(conn, "{line}").expect("send request");
+    }
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut responses = String::new();
+    BufReader::new(conn)
+        .read_to_string(&mut responses)
+        .expect("read responses");
+    let lines: Vec<&str> = responses.lines().collect();
+    assert_eq!(lines.len(), 3, "one response per request: {responses}");
+    for line in &lines {
+        assert!(line.contains("\"ok\":true"), "request failed: {line}");
         assert!(
-            scrape.starts_with("HTTP/1.0 200 OK"),
-            "bad status line: {scrape}"
+            line.contains("\"model\":\"default\"") && line.contains("\"version\":1"),
+            "response must name the answering model/version: {line}"
         );
-        assert!(scrape.contains("# TYPE cdcl_serve_batch_latency_us histogram"));
-        assert!(
-            scrape.contains("cdcl_serve_batch_latency_us_bucket{le=\""),
-            "latency histogram buckets missing:\n{scrape}"
-        );
-        assert!(scrape.contains("cdcl_serve_batch_latency_us_bucket{le=\"+Inf\"}"));
-        assert!(scrape.contains("cdcl_serve_batch_latency_us_p50 "));
-        assert!(scrape.contains("cdcl_serve_batch_latency_us_p99 "));
-        assert!(scrape.contains("cdcl_serve_requests_total"));
-        assert!(scrape.contains("cdcl_serve_batch_size"));
-        assert!(scrape.contains("cdcl_serve_queue_depth"));
-        // Per-model labeled families carry the registry id.
-        assert!(
-            scrape.contains("cdcl_serve_model_requests_total{model=\"default\"}"),
-            "per-model request series missing:\n{scrape}"
-        );
-        assert!(scrape.contains("cdcl_serve_model_latency_us_bucket{model=\"default\",le=\""));
-        assert!(scrape.contains("cdcl_serve_model_inflight{model=\"default\"}"));
-        // The scrape publishes the kernel counters too.
-        assert!(scrape.contains("cdcl_kernel_gemm_calls_total"));
-    });
+    }
+
+    // Connection 2: an HTTP scrape on the same listener.
+    let mut conn = TcpStream::connect(addr).expect("connect for scrape");
+    write!(conn, "GET /metrics HTTP/1.0\r\nHost: test\r\n\r\n").expect("send scrape");
+    let mut scrape = String::new();
+    BufReader::new(conn)
+        .read_to_string(&mut scrape)
+        .expect("read scrape");
+
+    assert!(
+        scrape.starts_with("HTTP/1.0 200 OK"),
+        "bad status line: {scrape}"
+    );
+    assert!(scrape.contains("# TYPE cdcl_serve_batch_latency_us histogram"));
+    assert!(
+        scrape.contains("cdcl_serve_batch_latency_us_bucket{le=\""),
+        "latency histogram buckets missing:\n{scrape}"
+    );
+    assert!(scrape.contains("cdcl_serve_batch_latency_us_bucket{le=\"+Inf\"}"));
+    assert!(scrape.contains("cdcl_serve_batch_latency_us_p50 "));
+    assert!(scrape.contains("cdcl_serve_batch_latency_us_p99 "));
+    assert!(scrape.contains("cdcl_serve_requests_total"));
+    assert!(scrape.contains("cdcl_serve_batch_size"));
+    assert!(scrape.contains("cdcl_serve_queue_depth"));
+    // Per-model labeled families carry the registry id.
+    assert!(
+        scrape.contains("cdcl_serve_model_requests_total{model=\"default\"}"),
+        "per-model request series missing:\n{scrape}"
+    );
+    assert!(scrape.contains("cdcl_serve_model_latency_us_bucket{model=\"default\",le=\""));
+    assert!(scrape.contains("cdcl_serve_model_inflight{model=\"default\"}"));
+    // The scrape publishes the kernel counters too.
+    assert!(scrape.contains("cdcl_kernel_gemm_calls_total"));
+
+    server.join();
+    assert!(stats.requests() >= 3, "server saw the JSONL requests");
+    assert!(stats.batch_count() > 0, "server executed batches");
 }
 
 #[test]

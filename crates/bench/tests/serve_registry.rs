@@ -13,6 +13,9 @@ use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+mod common;
+use common::{leak, Daemon};
+
 /// Heavy TCP tests are serialized (they each train a smoke model and spin
 /// worker threads on a small CI box).
 static SERVE_GUARD: Mutex<()> = Mutex::new(());
@@ -73,7 +76,7 @@ fn concurrent_connections_are_answered_correctly_and_in_order() {
     let trainer = smoke_trainer();
     let dims = trainer.input_dims();
     let line_for = move |id: u64| request_line(dims, id);
-    let srv = SnapshotRegistry::new(0);
+    let srv = leak(SnapshotRegistry::new(0));
     srv.insert_trainer("default", trainer, None)
         .expect("register model");
 
@@ -82,16 +85,15 @@ fn concurrent_connections_are_answered_correctly_and_in_order() {
     const WINDOW: usize = 4;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    let args = args_with(|a| {
+    let args = leak(args_with(|a| {
         a.max_batch = 4;
         a.conns = CLIENTS;
         a.threads = 2;
-    });
-    let stats = ServeStats::default();
+    }));
+    let stats = leak(ServeStats::default());
+    let server = Daemon::spawn(move || run_tcp(srv, listener, args, stats));
 
     std::thread::scope(|s| {
-        let (srv, args, stats) = (&srv, &args, &stats);
-        s.spawn(move || run_tcp(srv, listener, args, stats));
         let line_for = &line_for;
         for client in 0..CLIENTS {
             s.spawn(move || {
@@ -126,6 +128,7 @@ fn concurrent_connections_are_answered_correctly_and_in_order() {
             });
         }
     });
+    server.join();
     assert_eq!(stats.requests(), (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.failed(), 0);
     assert_eq!(stats.busy(), 0);
@@ -148,7 +151,7 @@ fn reload_under_load_drops_nothing_and_bumps_version() {
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let snap = dir.join("model.cdclsnap");
     trainer.save_snapshot(&snap).expect("save snapshot");
-    let srv = SnapshotRegistry::new(0);
+    let srv = leak(SnapshotRegistry::new(0));
     srv.load("default", &snap).expect("load v1");
 
     const CLIENTS: usize = 2;
@@ -156,16 +159,15 @@ fn reload_under_load_drops_nothing_and_bumps_version() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     // conns: clients + reload control conn + final version probe.
-    let args = args_with(|a| {
+    let args = leak(args_with(|a| {
         a.max_batch = 2;
         a.conns = CLIENTS + 2;
         a.threads = 3;
-    });
-    let stats = ServeStats::default();
+    }));
+    let stats = leak(ServeStats::default());
+    let server = Daemon::spawn(move || run_tcp(srv, listener, args, stats));
 
     std::thread::scope(|s| {
-        let (srv, args, stats) = (&srv, &args, &stats);
-        s.spawn(move || run_tcp(srv, listener, args, stats));
         let line_for = &line_for;
         for client in 0..CLIENTS {
             s.spawn(move || {
@@ -222,6 +224,7 @@ fn reload_under_load_drops_nothing_and_bumps_version() {
             assert_eq!(resp.version, Some(3), "post-swap traffic runs on v3");
         });
     });
+    server.join();
     let expected = (CLIENTS * PER_CLIENT) as u64 + 1;
     assert_eq!(stats.requests(), expected, "every request accounted for");
     assert_eq!(stats.failed(), 0);

@@ -19,6 +19,9 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
+mod common;
+use common::{leak, Daemon};
+
 /// Serialized with the other heavy TCP tests in the crate (worker threads
 /// plus two training rounds on a small CI box).
 static TRAIND_GUARD: Mutex<()> = Mutex::new(());
@@ -151,10 +154,10 @@ fn closed_loop_detects_trains_and_publishes_live() {
 
     // Serve side: an EMPTY registry — the first published checkpoint
     // creates the model slot at version 1 (the `--empty-ok` path).
-    let registry = SnapshotRegistry::new(0);
+    let registry = leak(SnapshotRegistry::new(0));
     let serve_listener = TcpListener::bind("127.0.0.1:0").expect("bind serve");
     let serve_addr = serve_listener.local_addr().expect("serve addr").to_string();
-    let serve_args = ServeArgs {
+    let serve_args = leak(ServeArgs {
         bench_out: None,
         empty_ok: true,
         // Two publish connections from traind plus the live client.
@@ -162,8 +165,8 @@ fn closed_loop_detects_trains_and_publishes_live() {
         threads: 2,
         max_batch: 4,
         ..ServeArgs::default()
-    };
-    let serve_stats = ServeStats::default();
+    });
+    let serve_stats = leak(ServeStats::default());
 
     // Traind side: fresh zero-task trainer, defaults injected explicitly
     // so the test is independent of the CDCL_TRAIND_* environment.
@@ -180,29 +183,30 @@ fn closed_loop_detects_trains_and_publishes_live() {
     };
     let trainer = build_trainer(&traind_args).expect("fresh trainer");
     let dims = trainer.input_dims();
-    let daemon = TraindDaemon::with_drift_config(traind_args, trainer, DriftConfig::default());
+    let daemon = leak(TraindDaemon::with_drift_config(
+        traind_args,
+        trainer,
+        DriftConfig::default(),
+    ));
     let traind_listener = TcpListener::bind("127.0.0.1:0").expect("bind traind");
     let traind_addr = traind_listener.local_addr().expect("traind addr");
 
-    let serving_v1 = AtomicBool::new(false);
-    let stop_load = AtomicBool::new(false);
-    let final_status = std::thread::scope(|s| {
-        let (registry, serve_args, serve_stats) = (&registry, &serve_args, &serve_stats);
-        s.spawn(move || {
-            cdcl_bench::serve::run_tcp(registry, serve_listener, serve_args, serve_stats)
-        });
-        let daemon = &daemon;
-        s.spawn(move || run_tcp(daemon, traind_listener));
+    let serve = Daemon::spawn(move || {
+        cdcl_bench::serve::run_tcp(registry, serve_listener, serve_args, serve_stats)
+    });
+    let traind = Daemon::spawn(move || run_tcp(daemon, traind_listener));
 
+    let serving_v1 = leak(AtomicBool::new(false));
+    let stop_load = leak(AtomicBool::new(false));
+    let final_status = {
         // Live prediction client: starts once version 1 is being served,
         // then sends requests one at a time right through the version-2
         // hot reload. Every request must be answered, none dropped. Its
         // last request is sent after the stop flag is seen, and so after
         // version 2 was verified live: a request already in flight during
         // the swap rightly finishes on version 1.
-        let (serving_v1, stop_load) = (&serving_v1, &stop_load);
         let serve_addr_for_load = serve_addr.clone();
-        let load = s.spawn(move || {
+        let load = std::thread::spawn(move || {
             while !serving_v1.load(Ordering::Acquire) {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
@@ -296,7 +300,9 @@ fn closed_loop_detects_trains_and_publishes_live() {
         reader.read_line(&mut line).expect("read STATUS");
         let status: Value = serde_json::from_str(line.trim()).expect("STATUS is JSON");
         field(&status, "status").clone()
-    });
+    };
+    traind.join();
+    serve.join();
 
     assert_eq!(field_u64(&final_status, "tasks"), 2);
     assert_eq!(field_u64(&final_status, "detections"), 1);
@@ -361,10 +367,10 @@ fn one_trace_id_survives_commit_publish_reload_and_first_serve() {
     let per_window = 6;
     let bootstrap = 2usize;
 
-    let registry = SnapshotRegistry::new(0);
+    let registry = leak(SnapshotRegistry::new(0));
     let serve_listener = TcpListener::bind("127.0.0.1:0").expect("bind serve");
     let serve_addr = serve_listener.local_addr().expect("serve addr").to_string();
-    let serve_args = ServeArgs {
+    let serve_args = leak(ServeArgs {
         bench_out: None,
         empty_ok: true,
         // One publish connection from traind plus the predict client.
@@ -372,8 +378,8 @@ fn one_trace_id_survives_commit_publish_reload_and_first_serve() {
         threads: 1,
         max_batch: 4,
         ..ServeArgs::default()
-    };
-    let serve_stats = ServeStats::default();
+    });
+    let serve_stats = leak(ServeStats::default());
 
     let publish_dir = std::env::temp_dir().join(format!("traind-e2e-trace-pub-{pid}"));
     let _ = std::fs::remove_dir_all(&publish_dir);
@@ -388,18 +394,20 @@ fn one_trace_id_survives_commit_publish_reload_and_first_serve() {
     };
     let trainer = build_trainer(&traind_args).expect("fresh trainer");
     let dims = trainer.input_dims();
-    let daemon = TraindDaemon::with_drift_config(traind_args, trainer, DriftConfig::default());
+    let daemon = leak(TraindDaemon::with_drift_config(
+        traind_args,
+        trainer,
+        DriftConfig::default(),
+    ));
     let traind_listener = TcpListener::bind("127.0.0.1:0").expect("bind traind");
     let traind_addr = traind_listener.local_addr().expect("traind addr");
 
-    let ack_trace = std::thread::scope(|s| {
-        let (registry, serve_args, serve_stats) = (&registry, &serve_args, &serve_stats);
-        s.spawn(move || {
-            cdcl_bench::serve::run_tcp(registry, serve_listener, serve_args, serve_stats)
-        });
-        let daemon = &daemon;
-        s.spawn(move || run_tcp(daemon, traind_listener));
+    let serve = Daemon::spawn(move || {
+        cdcl_bench::serve::run_tcp(registry, serve_listener, serve_args, serve_stats)
+    });
+    let traind = Daemon::spawn(move || run_tcp(daemon, traind_listener));
 
+    let ack_trace = {
         // Bootstrap windows only: one round, one publish, serve goes live
         // at version 1.
         let conn = TcpStream::connect(traind_addr).expect("connect traind");
@@ -429,7 +437,9 @@ fn one_trace_id_survives_commit_publish_reload_and_first_serve() {
         let resp: Value = serde_json::from_str(line.trim()).expect("response is JSON");
         assert!(field_bool(&resp, "ok"), "request failed: {}", line.trim());
         ack_trace
-    });
+    };
+    traind.join();
+    serve.join();
 
     cdcl_telemetry::flush();
     cdcl_telemetry::set_trace_file(None);

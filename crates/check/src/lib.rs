@@ -11,9 +11,8 @@
 //!   code: its iteration order is random-seeded per process, which silently
 //!   breaks the workspace's bitwise-determinism contract (DESIGN.md §7);
 //! * **no-raw-timing** — no `Instant::now` / `thread::spawn` outside
-//!   `crates/telemetry` and the kernel thread pool: ad-hoc timing belongs in
-//!   telemetry spans and ad-hoc threads break the deterministic reduction
-//!   order of the pool;
+//!   `crates/telemetry` and `crates/obs`: ad-hoc timing belongs in
+//!   telemetry spans, and kernels run on their calling thread;
 //! * **phase-spans** — every trainer phase listed in DESIGN.md §8 must be
 //!   wrapped in a `telemetry::span("<name>")` somewhere in `crates/core/src`
 //!   so traced runs always observe the full Algorithm-1 breakdown; the
@@ -238,11 +237,9 @@ fn word_hits(line: &str, needle: &str) -> bool {
 }
 
 /// Paths exempt from the no-raw-timing rule: the telemetry and obs crates
-/// own timing (spans and histogram timers), the kernel pool owns threads.
+/// own timing (spans and histogram timers).
 fn raw_timing_exempt(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/telemetry/")
-        || rel_path.starts_with("crates/obs/")
-        || rel_path == "crates/tensor/src/kernels/pool.rs"
+    rel_path.starts_with("crates/telemetry/") || rel_path.starts_with("crates/obs/")
 }
 
 /// Filesystem primitives the atomic-write rule bans inside
@@ -283,9 +280,8 @@ fn metric_rule_applies(rel_path: &str) -> bool {
 const POOLED_ALLOC_NEEDLES: [&str; 2] = ["vec![0.0", "Vec::with_capacity"];
 
 /// Whether the pooled-alloc rule applies to `rel_path`: the four crates on
-/// the per-step hot path, except the two `pool.rs` modules (the buffer pool
-/// *is* the sanctioned allocator; the kernel thread pool allocates once at
-/// startup).
+/// the per-step hot path, except the buffer pool, which *is* the sanctioned
+/// allocator.
 fn pooled_alloc_applies(rel_path: &str) -> bool {
     const HOT: [&str; 4] = [
         "crates/tensor/src/",
@@ -293,7 +289,7 @@ fn pooled_alloc_applies(rel_path: &str) -> bool {
         "crates/nn/src/",
         "crates/optim/src/",
     ];
-    HOT.iter().any(|p| rel_path.starts_with(p)) && !rel_path.ends_with("/pool.rs")
+    HOT.iter().any(|p| rel_path.starts_with(p)) && rel_path != "crates/tensor/src/pool.rs"
 }
 
 /// A well-formed workspace metric name: `cdcl_`-prefixed snake_case;
@@ -602,8 +598,6 @@ mod tests {
         let f = scan_file("crates/telemetry/src/lib.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-hashmap");
-        let f = scan_file("crates/tensor/src/kernels/pool.rs", src);
-        assert_eq!(f.len(), 1);
     }
 
     #[test]
@@ -704,10 +698,9 @@ mod tests {
             assert_eq!(needles, ["vec![0.0", "Vec::with_capacity"], "{file}");
             assert!(f.iter().all(|f| f.rule == "pooled-alloc"));
         }
-        // The buffer pool and the kernel thread pool are the sanctioned
-        // allocators; crates off the hot path are out of scope.
+        // The buffer pool is the sanctioned allocator; crates off the hot
+        // path are out of scope.
         assert!(scan_file("crates/tensor/src/pool.rs", src).is_empty());
-        assert!(scan_file("crates/tensor/src/kernels/pool.rs", src).is_empty());
         assert!(scan_file("crates/data/src/batch.rs", src).is_empty());
         assert!(scan_file("crates/bench/src/serve.rs", src).is_empty());
     }

@@ -27,11 +27,6 @@ use crate::CdclConfig;
 /// Inference chunk size (bounds peak memory during evaluation).
 const EVAL_CHUNK: usize = 32;
 
-/// Work estimate handed to the thread pool per evaluation chunk. A forward
-/// pass over `EVAL_CHUNK` images is millions of FLOPs — far above the pool's
-/// splitting threshold — so any multi-chunk evaluation parallelizes.
-const EVAL_CHUNK_WORK: usize = 1 << 20;
-
 /// One drift-scored window: the nearest archived task under the cosine
 /// centroid match of [`CdclTrainer::drift_score`], its distance
 /// (`1 − mean max-cosine`, the [`crate::DriftDetector`] input), and the
@@ -201,21 +196,13 @@ impl CdclTrainer {
         telemetry::check_finite("grad_norm", gn, ctx);
     }
 
-    /// Runs `body` on each `EVAL_CHUNK`-sized sub-range of `0..len`, spread
-    /// across the kernel thread pool. Chunk results come back in ascending
-    /// chunk order regardless of thread count, and each chunk is produced
-    /// entirely by one thread, so concatenating them is bitwise identical
-    /// to the serial loop.
-    fn eval_chunks<T: Send>(
-        &self,
-        len: usize,
-        body: impl Fn(std::ops::Range<usize>) -> T + Sync,
-    ) -> Vec<T> {
-        kernels::par_map_ranges(len.div_ceil(EVAL_CHUNK), EVAL_CHUNK_WORK, |chunks| {
-            chunks
-                .map(|c| body(c * EVAL_CHUNK..((c + 1) * EVAL_CHUNK).min(len)))
-                .collect()
-        })
+    /// Runs `body` on each `EVAL_CHUNK`-sized sub-range of `0..len`, in
+    /// ascending order, and collects the per-chunk results.
+    fn eval_chunks<T>(&self, len: usize, body: impl Fn(std::ops::Range<usize>) -> T) -> Vec<T> {
+        (0..len)
+            .step_by(EVAL_CHUNK)
+            .map(|start| body(start..(start + EVAL_CHUNK).min(len)))
+            .collect()
     }
 
     fn extract_features(&self, samples: &[Sample], task: usize) -> Tensor {
@@ -907,7 +894,6 @@ impl ContinualLearner for CdclTrainer {
                 .task(task.task_id)
                 .u64_field("gemm_calls", d.gemm_calls)
                 .u64_field("gemm_fmas", d.gemm_fmas)
-                .u64_field("pool_spawns", d.pool_spawns)
                 .emit();
         }
         self.maybe_checkpoint(task.task_id);

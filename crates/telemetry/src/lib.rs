@@ -8,7 +8,7 @@
 //! ```text
 //! {"seq":0,"ms":0.01,"wall_ms":1754700000123.456,"ev":"phase","name":"warmup","task":0,"epoch":0,"start_ms":0.0,"dur_ms":12.4}
 //! {"seq":1,"ms":12.5,"wall_ms":1754700000135.956,"ev":"scalar","name":"loss_total","task":0,"epoch":1,"step":3,"value":1.25}
-//! {"seq":2,"ms":30.1,"wall_ms":1754700000153.556,"ev":"counters","task":0,"gemm_calls":812,"gemm_fmas":91234567,"pool_spawns":14}
+//! {"seq":2,"ms":30.1,"wall_ms":1754700000153.556,"ev":"counters","task":0,"gemm_calls":812,"gemm_fmas":91234567}
 //! {"seq":3,"ms":30.2,"wall_ms":1754700000153.656,"ev":"watchdog","name":"loss_total","phase":"adaptation","task":0,"epoch":2,"step":0,"value":"NaN"}
 //! ```
 //!

@@ -4,10 +4,8 @@
 //! and the [`Im2col`] buffer is exposed so the autograd layer can reuse it in
 //! the backward pass instead of recomputing it.
 //!
-//! The unroll, the per-image GEMM, and the scatter-back adjoint are all
-//! parallelised per image through [`crate::kernels::pool`]: each image's
-//! slice of the output is written by exactly one thread, so results are
-//! bitwise identical at every thread count.
+//! The unroll, the per-image GEMM, and the scatter-back adjoint each walk
+//! the batch one image at a time, writing that image's slice of the output.
 
 use crate::kernels;
 use crate::pool::PooledBuf;
@@ -107,35 +105,29 @@ pub fn im2col(x: &Tensor, spec: Conv2dSpec) -> Im2col {
     // recycled buffer needs no fill.
     let mut cols = PooledBuf::take_uninit(b * col_rows * col_cols);
     let xd = x.data();
-    kernels::par_chunks_mut(
-        &mut cols,
-        col_rows * col_cols,
-        col_rows * col_cols,
-        |bi, dst| {
-            let img = &xd[bi * c * h * w..(bi + 1) * c * h * w];
-            for ci in 0..c {
-                for ki in 0..k {
-                    for kj in 0..k {
-                        let row = (ci * k + ki) * k + kj;
-                        for oi in 0..oh {
-                            let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
-                            for oj in 0..ow {
-                                let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
-                                let v =
-                                    if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w
-                                    {
-                                        img[ci * h * w + ii as usize * w + jj as usize]
-                                    } else {
-                                        0.0
-                                    };
-                                dst[row * col_cols + oi * ow + oj] = v;
-                            }
+    for (bi, dst) in cols.chunks_mut(col_rows * col_cols).enumerate() {
+        let img = &xd[bi * c * h * w..(bi + 1) * c * h * w];
+        for ci in 0..c {
+            for ki in 0..k {
+                for kj in 0..k {
+                    let row = (ci * k + ki) * k + kj;
+                    for oi in 0..oh {
+                        let ii = (oi * spec.stride + ki) as isize - spec.padding as isize;
+                        for oj in 0..ow {
+                            let jj = (oj * spec.stride + kj) as isize - spec.padding as isize;
+                            let v = if ii >= 0 && jj >= 0 && (ii as usize) < h && (jj as usize) < w
+                            {
+                                img[ci * h * w + ii as usize * w + jj as usize]
+                            } else {
+                                0.0
+                            };
+                            dst[row * col_cols + oi * ow + oj] = v;
                         }
                     }
                 }
             }
-        },
-    );
+        }
+    }
     Im2col {
         cols: Tensor::from_buf(cols, &[b, col_rows, col_cols]),
         batch: b,
@@ -159,7 +151,7 @@ pub fn col2im(cols_grad: &Tensor, info: &Im2col) -> Tensor {
     // The scatter below *accumulates*, so zero is the semantic initial value.
     let mut out = PooledBuf::take_zeroed(b * c * h * w);
     let gd = cols_grad.data();
-    kernels::par_chunks_mut(&mut out, c * h * w, col_rows * col_cols, |bi, img| {
+    for (bi, img) in out.chunks_mut(c * h * w).enumerate() {
         let src = &gd[bi * col_rows * col_cols..(bi + 1) * col_rows * col_cols];
         for ci in 0..c {
             for ki in 0..k {
@@ -183,7 +175,7 @@ pub fn col2im(cols_grad: &Tensor, info: &Im2col) -> Tensor {
                 }
             }
         }
-    });
+    }
     Tensor::from_buf(out, &[b, c, h, w])
 }
 
@@ -216,15 +208,10 @@ impl Tensor {
         let w2 = weight.reshape(&[c_out, kk]);
         let mut out = Tensor::zeros(&[b, c_out, oh * ow]);
         let cols = info.cols.data();
-        kernels::par_chunks_mut(
-            out.data_mut(),
-            c_out * oh * ow,
-            c_out * kk * oh * ow,
-            |bi, dst| {
-                let cols_i = &cols[bi * kk * oh * ow..(bi + 1) * kk * oh * ow];
-                kernels::gemm_nn(dst, w2.data(), cols_i, c_out, kk, oh * ow);
-            },
-        );
+        for (bi, dst) in out.data_mut().chunks_mut(c_out * oh * ow).enumerate() {
+            let cols_i = &cols[bi * kk * oh * ow..(bi + 1) * kk * oh * ow];
+            kernels::gemm_nn(dst, w2.data(), cols_i, c_out, kk, oh * ow);
+        }
         let mut out = out.reshape(&[b, c_out, oh, ow]);
         if let Some(bias) = bias {
             let bd = bias.data();

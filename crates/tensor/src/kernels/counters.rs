@@ -1,8 +1,7 @@
 //! Always-on kernel-layer counters.
 //!
-//! Three process-wide relaxed atomics track where the math goes: GEMM call
-//! count, total fused-multiply-add volume, and how many worker threads the
-//! pool has spawned. One `fetch_add` per GEMM call (or per spawned thread)
+//! Two process-wide relaxed atomics track where the math goes: GEMM call
+//! count and total fused-multiply-add volume. One `fetch_add` per GEMM call
 //! is noise next to the kernel itself, so the counters stay on even when
 //! telemetry is not — they never touch the data path, so results are
 //! unaffected.
@@ -14,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static GEMM_CALLS: AtomicU64 = AtomicU64::new(0);
 static GEMM_FMAS: AtomicU64 = AtomicU64::new(0);
-static POOL_SPAWNS: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the kernel counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -24,8 +22,8 @@ pub struct KernelCounters {
     pub gemm_calls: u64,
     /// Fused multiply-add volume: Σ `m·k·n` (× batch) over all GEMM calls.
     pub gemm_fmas: u64,
-    /// Worker threads spawned by parallel regions (inline/serial regions
-    /// spawn none).
+    /// Always 0: kernels run on the calling thread and spawn none. Kept so
+    /// readers of the former spawn count still build.
     pub pool_spawns: u64,
 }
 
@@ -36,7 +34,7 @@ impl KernelCounters {
         KernelCounters {
             gemm_calls: self.gemm_calls.saturating_sub(earlier.gemm_calls),
             gemm_fmas: self.gemm_fmas.saturating_sub(earlier.gemm_fmas),
-            pool_spawns: self.pool_spawns.saturating_sub(earlier.pool_spawns),
+            pool_spawns: 0,
         }
     }
 }
@@ -48,7 +46,7 @@ pub fn counter_snapshot() -> KernelCounters {
         // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
         gemm_calls: GEMM_CALLS.load(Ordering::Relaxed),
         gemm_fmas: GEMM_FMAS.load(Ordering::Relaxed),
-        pool_spawns: POOL_SPAWNS.load(Ordering::Relaxed),
+        pool_spawns: 0,
     }
 }
 
@@ -57,7 +55,6 @@ pub fn reset_counters() {
     // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
     GEMM_CALLS.store(0, Ordering::Relaxed);
     GEMM_FMAS.store(0, Ordering::Relaxed);
-    POOL_SPAWNS.store(0, Ordering::Relaxed);
 }
 
 /// Records one GEMM invocation of `fmas` fused multiply-adds.
@@ -68,13 +65,6 @@ pub(crate) fn record_gemm(fmas: u64) {
     GEMM_FMAS.fetch_add(fmas, Ordering::Relaxed);
 }
 
-/// Records `n` worker-thread spawns in a parallel region.
-#[inline]
-pub(crate) fn record_spawns(n: u64) {
-    // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
-    POOL_SPAWNS.fetch_add(n, Ordering::Relaxed);
-}
-
 static OBS_GEMM_CALLS: cdcl_obs::Counter = cdcl_obs::Counter::new(
     "cdcl_kernel_gemm_calls_total",
     "GEMM kernel invocations since process start",
@@ -82,10 +72,6 @@ static OBS_GEMM_CALLS: cdcl_obs::Counter = cdcl_obs::Counter::new(
 static OBS_GEMM_FMAS: cdcl_obs::Counter = cdcl_obs::Counter::new(
     "cdcl_kernel_gemm_fmas_total",
     "Fused multiply-add volume across all GEMM calls",
-);
-static OBS_POOL_SPAWNS: cdcl_obs::Counter = cdcl_obs::Counter::new(
-    "cdcl_kernel_pool_spawns_total",
-    "Worker threads spawned by parallel kernel regions",
 );
 
 /// Mirrors the always-on kernel atomics into the `cdcl-obs` registry.
@@ -96,7 +82,6 @@ pub fn publish_registry() {
     let snap = counter_snapshot();
     OBS_GEMM_CALLS.store(snap.gemm_calls);
     OBS_GEMM_FMAS.store(snap.gemm_fmas);
-    OBS_POOL_SPAWNS.store(snap.pool_spawns);
     crate::pool::publish_registry();
 }
 

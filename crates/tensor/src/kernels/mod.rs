@@ -1,4 +1,4 @@
-//! Execution kernels: blocked, transpose-aware, multi-threaded GEMM.
+//! Execution kernels: blocked, transpose-aware GEMM.
 //!
 //! Every matrix product in the workspace funnels through the three kernels
 //! here:
@@ -12,29 +12,31 @@
 //! (`Q·Kᵀ`), linear/matmul backward (`dA = g·Bᵀ`, `dB = Aᵀ·g`), and the
 //! conv backward all hit these directly.
 //!
+//! Every kernel runs on the thread that calls it. The model's GEMMs
+//! (d = 32, n = 16–64) are too small to pay for handing work to other
+//! threads; callers that want parallelism (the daemons' connection
+//! workers) get it one level up, from independent requests.
+//!
 //! # Determinism
 //!
 //! All three kernels accumulate each output element with a **single
 //! accumulator in ascending inner-index (`p`) order** — the same floating-
 //! point rounding sequence as the textbook triple loop. Cache blocking only
 //! reorders *which element* is advanced next, never the order of one
-//! element's own chain, and the thread pool (see [`mod@pool`]) assigns each
-//! output row to exactly one worker. Results are therefore bitwise
-//! identical for any thread count and any blocking parameters.
+//! element's own chain, so results are bitwise identical for any blocking
+//! parameters.
 //!
 //! # Blocking parameters
 //!
 //! * `nn`/`tn` stream `B` rows; the inner dimension is blocked by
 //!   [`KC`] = 256 so the active `KC×n` panel of `B` stays in L1/L2 while it
-//!   is swept over all output rows a thread owns.
+//!   is swept over all output rows.
 //! * `nt` is a row-by-row dot product; `B` rows are blocked by [`JB`] = 64
 //!   so a `JB×k` panel of `B` is reused across consecutive output rows.
 
 pub mod counters;
-pub mod pool;
 
 pub use counters::{counter_snapshot, publish_registry, reset_counters, KernelCounters};
-pub use pool::{num_threads, par_chunks_mut, par_map_ranges, set_num_threads};
 
 /// Inner-dimension (`p`) block size for the streaming kernels.
 const KC: usize = 256;
@@ -42,15 +44,15 @@ const KC: usize = 256;
 /// `B`-row block size for the dot-product (`nt`) kernel.
 const JB: usize = 64;
 
-/// `C[m,n] += A[m,k] · B[k,n]`, threaded over output rows.
+/// `C[m,n] += A[m,k] · B[k,n]`, one output row at a time.
 pub fn gemm_nn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     counters::record_gemm((m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |i, row| {
+    for (i, row) in out.chunks_mut(n.max(1)).enumerate() {
         gemm_nn_row(row, &a[i * k..(i + 1) * k], b, k, n);
-    });
+    }
 }
 
 /// One output row of `nn`: `row[n] += a_row[k] · B[k,n]`, `p` ascending.
@@ -67,16 +69,16 @@ fn gemm_nn_row(row: &mut [f32], a_row: &[f32], b: &[f32], k: usize, n: usize) {
     }
 }
 
-/// `C[m,n] += A[m,k] · B[n,k]ᵀ`, threaded over output rows. `B` is read in
+/// `C[m,n] += A[m,k] · B[n,k]ᵀ`, one output row at a time. `B` is read in
 /// its stored `[n,k]` layout — no transposed copy exists at any point.
 pub fn gemm_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
     counters::record_gemm((m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |i, row| {
+    for (i, row) in out.chunks_mut(n.max(1)).enumerate() {
         gemm_nt_row(row, &a[i * k..(i + 1) * k], b, k);
-    });
+    }
 }
 
 /// One output row of `nt`: `row[j] += dot(a_row, b_row_j)`, `p` ascending.
@@ -134,16 +136,16 @@ fn gemm_nt_row(row: &mut [f32], a_row: &[f32], b: &[f32], k: usize) {
     }
 }
 
-/// `C[m,n] += A[k,m]ᵀ · B[k,n]`, threaded over output rows. `A` is read in
+/// `C[m,n] += A[k,m]ᵀ · B[k,n]`, one output row at a time. `A` is read in
 /// its stored `[k,m]` layout — no transposed copy exists at any point.
 pub fn gemm_tn(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     counters::record_gemm((m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |i, row| {
+    for (i, row) in out.chunks_mut(n.max(1)).enumerate() {
         gemm_tn_row(row, a, b, i, k, m, n);
-    });
+    }
 }
 
 /// One output row of `tn`: `row[n] += A[:,i] · B[k,n]`, `p` ascending.
@@ -160,7 +162,7 @@ fn gemm_tn_row(row: &mut [f32], a: &[f32], b: &[f32], i: usize, k: usize, m: usi
     }
 }
 
-/// Batched `C[b,m,n] += A[b,m,k] · B[b,k,n]`, threaded over `b·m` rows.
+/// Batched `C[b,m,n] += A[b,m,k] · B[b,k,n]`, row by row over all `b·m` output rows.
 pub fn gemm_nn_batched(
     out: &mut [f32],
     a: &[f32],
@@ -174,14 +176,14 @@ pub fn gemm_nn_batched(
     debug_assert_eq!(b.len(), batch * k * n);
     debug_assert_eq!(out.len(), batch * m * n);
     counters::record_gemm((batch * m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |r, row| {
+    for (r, row) in out.chunks_mut(n.max(1)).enumerate() {
         let (bi, i) = (r / m, r % m);
         let a_row = &a[(bi * m + i) * k..(bi * m + i + 1) * k];
         gemm_nn_row(row, a_row, &b[bi * k * n..(bi + 1) * k * n], k, n);
-    });
+    }
 }
 
-/// Batched `C[b,m,n] += A[b,m,k] · B[b,n,k]ᵀ`, threaded over `b·m` rows.
+/// Batched `C[b,m,n] += A[b,m,k] · B[b,n,k]ᵀ`, row by row over all `b·m` output rows.
 pub fn gemm_nt_batched(
     out: &mut [f32],
     a: &[f32],
@@ -195,14 +197,14 @@ pub fn gemm_nt_batched(
     debug_assert_eq!(b.len(), batch * n * k);
     debug_assert_eq!(out.len(), batch * m * n);
     counters::record_gemm((batch * m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |r, row| {
+    for (r, row) in out.chunks_mut(n.max(1)).enumerate() {
         let (bi, i) = (r / m, r % m);
         let a_row = &a[(bi * m + i) * k..(bi * m + i + 1) * k];
         gemm_nt_row(row, a_row, &b[bi * n * k..(bi + 1) * n * k], k);
-    });
+    }
 }
 
-/// Batched `C[b,m,n] += A[b,k,m]ᵀ · B[b,k,n]`, threaded over `b·m` rows.
+/// Batched `C[b,m,n] += A[b,k,m]ᵀ · B[b,k,n]`, row by row over all `b·m` output rows.
 pub fn gemm_tn_batched(
     out: &mut [f32],
     a: &[f32],
@@ -216,7 +218,7 @@ pub fn gemm_tn_batched(
     debug_assert_eq!(b.len(), batch * k * n);
     debug_assert_eq!(out.len(), batch * m * n);
     counters::record_gemm((batch * m * k * n) as u64);
-    par_chunks_mut(out, n.max(1), k.saturating_mul(n), |r, row| {
+    for (r, row) in out.chunks_mut(n.max(1)).enumerate() {
         let (bi, i) = (r / m, r % m);
         gemm_tn_row(
             row,
@@ -227,14 +229,14 @@ pub fn gemm_tn_batched(
             m,
             n,
         );
-    });
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Textbook triple loop, single-threaded, `p` ascending — the reference
+    /// Textbook triple loop, `p` ascending — the reference
     /// rounding chain every kernel must match bitwise.
     fn reference_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
@@ -274,13 +276,9 @@ mod tests {
         let a = fill(m * k, 1);
         let b = fill(k * n, 2);
         let expected = reference_nn(&a, &b, m, k, n);
-        for threads in [1usize, 2, 8] {
-            set_num_threads(threads);
-            let mut out = vec![0.0f32; m * n];
-            gemm_nn(&mut out, &a, &b, m, k, n);
-            assert_eq!(out, expected, "threads={threads}");
-        }
-        set_num_threads(0);
+        let mut out = vec![0.0f32; m * n];
+        gemm_nn(&mut out, &a, &b, m, k, n);
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -290,13 +288,9 @@ mod tests {
         let b = fill(n * k, 4); // stored [n,k]
         let bt = transpose(&b, n, k); // [k,n]
         let expected = reference_nn(&a, &bt, m, k, n);
-        for threads in [1usize, 2, 8] {
-            set_num_threads(threads);
-            let mut out = vec![0.0f32; m * n];
-            gemm_nt(&mut out, &a, &b, m, k, n);
-            assert_eq!(out, expected, "threads={threads}");
-        }
-        set_num_threads(0);
+        let mut out = vec![0.0f32; m * n];
+        gemm_nt(&mut out, &a, &b, m, k, n);
+        assert_eq!(out, expected);
     }
 
     #[test]
@@ -306,13 +300,9 @@ mod tests {
         let at = transpose(&a, k, m); // [m,k]
         let b = fill(k * n, 6);
         let expected = reference_nn(&at, &b, m, k, n);
-        for threads in [1usize, 2, 8] {
-            set_num_threads(threads);
-            let mut out = vec![0.0f32; m * n];
-            gemm_tn(&mut out, &a, &b, m, k, n);
-            assert_eq!(out, expected, "threads={threads}");
-        }
-        set_num_threads(0);
+        let mut out = vec![0.0f32; m * n];
+        gemm_tn(&mut out, &a, &b, m, k, n);
+        assert_eq!(out, expected);
     }
 
     #[test]

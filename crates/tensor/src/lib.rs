@@ -16,11 +16,11 @@
 //!   read the transposed operand in its stored layout. Only genuinely
 //!   layout-changing permutations (e.g. `[b,d,n] -> [b,n,d]` after the
 //!   tokenizer) still materialise a copy.
-//! * Heavy kernels (GEMM, `im2col` convolution) are **multi-threaded** via
-//!   the scoped pool in [`kernels::pool`], sized from `CDCL_THREADS` or the
-//!   machine's available parallelism. Every output row is reduced by
-//!   exactly one thread in a fixed order, so results are bitwise identical
-//!   at every thread count; `CDCL_THREADS=1` runs fully inline.
+//! * Heavy kernels (GEMM, `im2col` convolution) run on the **calling
+//!   thread** and reduce every output element in one fixed order, so a
+//!   given input always produces the same bits. The model's matrices are
+//!   too small to pay for spreading one call over threads; the daemons get
+//!   their parallelism from concurrent connection workers instead.
 //! * Shapes are checked eagerly and violations panic with a descriptive
 //!   message. Shape errors in a training loop are programming bugs, not
 //!   recoverable conditions, mirroring the convention of mainstream numeric

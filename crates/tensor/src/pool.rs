@@ -202,9 +202,6 @@ impl BufferPool {
         }
         // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if std::env::var("CDCL_POOL_DEBUG").is_ok() {
-            eprintln!("POOLMISS uninit n={n} class={class}");
-        }
         let size = class_size(class);
         self.alloc_bytes
             // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
@@ -236,9 +233,6 @@ impl BufferPool {
         }
         // ordering: stat — monotonic telemetry counter; readers tolerate staleness.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        if std::env::var("CDCL_POOL_DEBUG").is_ok() {
-            eprintln!("POOLMISS zeroed n={n} class={class}");
-        }
         let size = class_size(class);
         self.alloc_bytes
             // ordering: stat — monotonic telemetry counter; readers tolerate staleness.

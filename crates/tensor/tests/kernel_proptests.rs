@@ -1,6 +1,6 @@
-//! Property-based tests for the execution kernels: every GEMM variant, at
-//! every thread count, must be **bitwise identical** to a naive
-//! single-threaded reference. This is the determinism contract of
+//! Property-based tests for the execution kernels: every GEMM variant must
+//! be **bitwise identical** to a naive reference. This is the determinism
+//! contract of
 //! `cdcl_tensor::kernels` (each output element is reduced by exactly one
 //! accumulator in ascending inner-index order), checked with `==` on the
 //! raw `f32` data — no tolerances.
@@ -8,11 +8,6 @@
 use cdcl_tensor::kernels;
 use cdcl_tensor::Tensor;
 use proptest::prelude::*;
-
-/// Thread counts exercised for every case. The pool override is
-/// process-global, but because kernels are thread-count-invariant by
-/// construction, concurrent tests flipping it cannot change any result.
-const THREADS: [usize; 3] = [1, 2, 8];
 
 /// Textbook triple loop: `out[i][j] += sum_p a[i][p] * b[p][j]`, summed in
 /// ascending `p` order — the exact chain the blocked kernels must follow.
@@ -48,7 +43,7 @@ fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
 }
 
 proptest! {
-    /// `gemm_nn` == reference, bitwise, at 1/2/8 threads.
+    /// `gemm_nn` == reference, bitwise.
     #[test]
     fn gemm_nn_matches_reference_bitwise(
         (m, k, n) in dims(),
@@ -57,16 +52,12 @@ proptest! {
         let a: Vec<f32> = (0..m * k).map(|i| fill(seed, i)).collect();
         let b: Vec<f32> = (0..k * n).map(|i| fill(seed ^ 0x9e37, i)).collect();
         let expect = reference_nn(&a, &b, m, k, n);
-        for t in THREADS {
-            kernels::set_num_threads(t);
-            let mut out = vec![0.0f32; m * n];
-            kernels::gemm_nn(&mut out, &a, &b, m, k, n);
-            kernels::set_num_threads(0);
-            prop_assert_eq!(&out, &expect);
-        }
+        let mut out = vec![0.0f32; m * n];
+        kernels::gemm_nn(&mut out, &a, &b, m, k, n);
+        prop_assert_eq!(&out, &expect);
     }
 
-    /// `gemm_nt(A, B)` == reference `A · Bᵀ`, bitwise, at 1/2/8 threads.
+    /// `gemm_nt(A, B)` == reference `A · Bᵀ`, bitwise.
     #[test]
     fn gemm_nt_matches_reference_bitwise(
         (m, k, n) in dims(),
@@ -76,16 +67,12 @@ proptest! {
         // B stored as [n, k]; the reference multiplies its transpose [k, n].
         let b: Vec<f32> = (0..n * k).map(|i| fill(seed ^ 0x51ed, i)).collect();
         let expect = reference_nn(&a, &transpose(&b, n, k), m, k, n);
-        for t in THREADS {
-            kernels::set_num_threads(t);
-            let mut out = vec![0.0f32; m * n];
-            kernels::gemm_nt(&mut out, &a, &b, m, k, n);
-            kernels::set_num_threads(0);
-            prop_assert_eq!(&out, &expect);
-        }
+        let mut out = vec![0.0f32; m * n];
+        kernels::gemm_nt(&mut out, &a, &b, m, k, n);
+        prop_assert_eq!(&out, &expect);
     }
 
-    /// `gemm_tn(A, B)` == reference `Aᵀ · B`, bitwise, at 1/2/8 threads.
+    /// `gemm_tn(A, B)` == reference `Aᵀ · B`, bitwise.
     #[test]
     fn gemm_tn_matches_reference_bitwise(
         (m, k, n) in dims(),
@@ -95,17 +82,13 @@ proptest! {
         let a: Vec<f32> = (0..k * m).map(|i| fill(seed, i)).collect();
         let b: Vec<f32> = (0..k * n).map(|i| fill(seed ^ 0xc2b2, i)).collect();
         let expect = reference_nn(&transpose(&a, k, m), &b, m, k, n);
-        for t in THREADS {
-            kernels::set_num_threads(t);
-            let mut out = vec![0.0f32; m * n];
-            kernels::gemm_tn(&mut out, &a, &b, m, k, n);
-            kernels::set_num_threads(0);
-            prop_assert_eq!(&out, &expect);
-        }
+        let mut out = vec![0.0f32; m * n];
+        kernels::gemm_tn(&mut out, &a, &b, m, k, n);
+        prop_assert_eq!(&out, &expect);
     }
 
     /// Batched fused tensor ops match explicit transpose-then-matmul,
-    /// bitwise, at 1/2/8 threads (the attention-score shape `[b,n,d]`).
+    /// bitwise (the attention-score shape `[b,n,d]`).
     #[test]
     fn fused_tensor_ops_match_explicit_transpose_bitwise(
         (b, n, d) in (1usize..4, 1usize..8, 1usize..8),
@@ -115,42 +98,9 @@ proptest! {
         let y = Tensor::from_vec((0..b * n * d).map(|i| fill(seed ^ 0x33, i)).collect(), &[b, n, d]);
         let expect_nt = x.matmul(&y.transpose_last2()); // [b, n, n]
         let expect_tn = x.transpose_last2().matmul(&y); // [b, d, d]
-        for t in THREADS {
-            kernels::set_num_threads(t);
-            let got_nt = x.matmul_nt(&y);
-            let got_tn = x.matmul_tn(&y);
-            kernels::set_num_threads(0);
-            prop_assert_eq!(got_nt.data(), expect_nt.data());
-            prop_assert_eq!(got_tn.data(), expect_tn.data());
-        }
-    }
-
-    /// `im2col`-based convolution is thread-count-invariant, bitwise.
-    #[test]
-    fn conv2d_is_thread_count_invariant(
-        (bsz, cin, cout) in (1usize..3, 1usize..3, 1usize..3),
-        seed in 0u64..100,
-    ) {
-        let (h, w, kh, kw) = (5usize, 5usize, 3usize, 3usize);
-        let x = Tensor::from_vec(
-            (0..bsz * cin * h * w).map(|i| fill(seed, i)).collect(),
-            &[bsz, cin, h, w],
-        );
-        let wt = Tensor::from_vec(
-            (0..cout * cin * kh * kw).map(|i| fill(seed ^ 0xff, i)).collect(),
-            &[cout, cin, kh, kw],
-        );
-        let bias = Tensor::from_vec((0..cout).map(|i| fill(seed ^ 0xa5, i)).collect(), &[cout]);
-        let spec = cdcl_tensor::Conv2dSpec { kernel: kh, stride: 1, padding: 1 };
-        kernels::set_num_threads(1);
-        let (serial, _) = x.conv2d(&wt, Some(&bias), spec);
-        for t in [2usize, 8] {
-            kernels::set_num_threads(t);
-            let (threaded, _) = x.conv2d(&wt, Some(&bias), spec);
-            kernels::set_num_threads(0);
-            prop_assert_eq!(threaded.data(), serial.data());
-        }
-        kernels::set_num_threads(0);
+        let (got_nt, got_tn) = (x.matmul_nt(&y), x.matmul_tn(&y));
+        prop_assert_eq!(got_nt.data(), expect_nt.data());
+        prop_assert_eq!(got_tn.data(), expect_tn.data());
     }
 }
 

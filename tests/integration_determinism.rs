@@ -1,23 +1,20 @@
 //! End-to-end determinism: training and evaluating the CDCL learner must be
-//! **bitwise identical** at every thread count. This is the contract of the
-//! `cdcl_tensor::kernels` pool (each output element is reduced by exactly
-//! one thread in a fixed order), checked here through the full stack —
-//! tokenizer convs, attention GEMMs, autograd backward, optimizer updates,
-//! pseudo-labelling, and the chunked parallel evaluation loops.
+//! **bitwise identical** whether or not a read-only verifier pass or a
+//! checkpoint/resume cycle sits in the middle, checked through the full
+//! stack — tokenizer convs, attention GEMMs, autograd backward, optimizer
+//! updates, pseudo-labelling, and the chunked evaluation loops.
 
 use cdcl::autograd::Graph;
 use cdcl::core::{CdclConfig, CdclTrainer, ContinualLearner};
 use cdcl::data::{mnist_usps, MnistUspsDirection, Scale};
 use cdcl::nn::Module;
-use cdcl::tensor::kernels;
 use cdcl::tensor::Tensor;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// Trains two tasks at the given thread count and returns the final
-/// parameter tensors plus both TIL accuracies.
-fn train_at(threads: usize) -> (Vec<(String, Vec<f32>)>, f64, f64) {
-    kernels::set_num_threads(threads);
+/// Trains two tasks and returns the final parameter tensors plus both TIL
+/// accuracies.
+fn train_two_tasks() -> (Vec<(String, Vec<f32>)>, f64, f64) {
     let stream = mnist_usps(MnistUspsDirection::MnistToUsps, Scale::Smoke);
     let mut config = CdclConfig::smoke();
     config.epochs = 3;
@@ -34,7 +31,6 @@ fn train_at(threads: usize) -> (Vec<(String, Vec<f32>)>, f64, f64) {
         .into_iter()
         .map(|p| (p.name(), p.value().data().to_vec()))
         .collect();
-    kernels::set_num_threads(0);
     (params, acc0, acc1)
 }
 
@@ -45,9 +41,8 @@ fn train_at(threads: usize) -> (Vec<(String, Vec<f32>)>, f64, f64) {
 /// produce bitwise-identical parameters and accuracies (DESIGN.md §9).
 #[test]
 fn extra_verifier_passes_leave_training_bitwise_unchanged() {
-    let (base_params, base_acc0, base_acc1) = train_at(1);
+    let (base_params, base_acc0, base_acc1) = train_two_tasks();
 
-    kernels::set_num_threads(1);
     let stream = mnist_usps(MnistUspsDirection::MnistToUsps, Scale::Smoke);
     let mut config = CdclConfig::smoke();
     config.epochs = 3;
@@ -70,7 +65,6 @@ fn extra_verifier_passes_leave_training_bitwise_unchanged() {
     }
     let acc0 = trainer.eval_til(0, &stream.tasks[0].target_test);
     let acc1 = trainer.eval_til(1, &stream.tasks[1].target_test);
-    kernels::set_num_threads(0);
 
     assert_eq!(acc0, base_acc0);
     assert_eq!(acc1, base_acc1);
@@ -93,9 +87,8 @@ fn extra_verifier_passes_leave_training_bitwise_unchanged() {
 /// (with a real kill between phases) runs in CI as `persistence-smoke`.
 #[test]
 fn interrupted_then_resumed_training_is_bitwise_identical() {
-    let (base_params, base_acc0, base_acc1) = train_at(1);
+    let (base_params, base_acc0, base_acc1) = train_two_tasks();
 
-    kernels::set_num_threads(1);
     let stream = mnist_usps(MnistUspsDirection::MnistToUsps, Scale::Smoke);
     let mut config = CdclConfig::smoke();
     config.epochs = 3;
@@ -119,7 +112,6 @@ fn interrupted_then_resumed_training_is_bitwise_identical() {
     let acc0 = resumed.eval_til(0, &stream.tasks[0].target_test);
     let acc1 = resumed.eval_til(1, &stream.tasks[1].target_test);
     std::fs::remove_dir_all(&dir).ok();
-    kernels::set_num_threads(0);
 
     assert_eq!(acc0, base_acc0, "eval_til(0) diverged after resume");
     assert_eq!(acc1, base_acc1, "eval_til(1) diverged after resume");
@@ -132,27 +124,5 @@ fn interrupted_then_resumed_training_is_bitwise_identical() {
             p.value().data(),
             "param {name} diverged after checkpoint/resume"
         );
-    }
-}
-
-#[test]
-fn training_is_bitwise_identical_across_thread_counts() {
-    let (base_params, base_acc0, base_acc1) = train_at(1);
-    assert!(!base_params.is_empty());
-    for threads in [2usize, 8] {
-        let (params, acc0, acc1) = train_at(threads);
-        assert_eq!(acc0, base_acc0, "eval_til(0) diverged at {threads} threads");
-        assert_eq!(acc1, base_acc1, "eval_til(1) diverged at {threads} threads");
-        assert_eq!(params.len(), base_params.len());
-        for ((name, value), (base_name, base_value)) in params.iter().zip(base_params.iter()) {
-            assert_eq!(name, base_name);
-            // Bitwise equality on the raw f32 data — no tolerance. Any
-            // thread-count-dependent reduction order anywhere in the stack
-            // shows up here.
-            assert_eq!(
-                value, base_value,
-                "param {name} diverged at {threads} threads"
-            );
-        }
     }
 }

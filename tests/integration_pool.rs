@@ -2,7 +2,8 @@
 //! storage through the size-classed pool must be **bitwise invisible** —
 //! the pool decides where buffers live, never what a caller reads from
 //! them — must actually hit in steady state, and a warmed training step
-//! on a persistent tape must allocate nothing through the pool at all.
+//! on a persistent tape must allocate nothing through the pool at all and
+//! an exact, fixed number of blocks from the heap.
 //!
 //! Everything runs inside one `#[test]` so the process-wide
 //! `CDCL_POOL`-style runtime toggle and the global pool counters are never
@@ -13,9 +14,84 @@ use cdcl::core::{CdclConfig, CdclTrainer, ContinualLearner};
 use cdcl::data::{mnist_usps, MnistUspsDirection, Scale};
 use cdcl::nn::{Backbone, BackboneConfig, Module, TilHeads};
 use cdcl::optim::{Optimizer, Sgd};
-use cdcl::tensor::{kernels, pool, Tensor};
+use cdcl::tensor::{pool, Tensor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+/// Heap allocations (`alloc`, `alloc_zeroed`, `realloc`) per warmed
+/// training step of the rig in [`steady_state_step_allocations`]. Kernels
+/// run on the calling thread, so every allocation the step makes is
+/// counted.
+/// None of them is f32 tensor storage (that goes through the pool, whose
+/// misses are asserted to be 0 separately): all but 612 are the index
+/// `Vec` that `unravel` builds for each element of a broadcast in
+/// `Tensor::binary` and `reduce_to_shape`. Debug builds also run the shape
+/// verifier at the start of every backward (`Graph::backward`), which
+/// allocates 145 more.
+const HEAP_ALLOCS_PER_STEP: u64 = if cfg!(debug_assertions) {
+    144_597
+} else {
+    144_452
+};
+
+std::thread_local! {
+    /// Set only on the thread being measured.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// Heap allocations that thread made while `COUNTING` was set.
+    static HEAP_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting the calls made by a measuring thread.
+struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        // `try_with`: the allocator also runs while thread-locals are torn
+        // down, when there is nothing left to count.
+        let _ = COUNTING.try_with(|on| {
+            if on.get() {
+                HEAP_ALLOCS.with(|n| n.set(n.get() + 1));
+            }
+        });
+    }
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counting touches
+// only const-initialised thread-locals, which never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations the calling thread makes inside `f`.
+fn heap_allocs_during(f: impl FnOnce()) -> u64 {
+    HEAP_ALLOCS.with(|n| n.set(0));
+    COUNTING.with(|on| on.set(true));
+    f();
+    COUNTING.with(|on| on.set(false));
+    HEAP_ALLOCS.with(Cell::get)
+}
 
 /// Trains two tasks single-threaded and returns the final parameters, both
 /// TIL accuracies, and the pool-counter delta over the *second* task — the
@@ -42,12 +118,13 @@ fn train() -> (Vec<(String, Vec<f32>)>, f64, f64, pool::PoolStats) {
 }
 
 /// Pool-counter delta over `MEASURED_STEPS` training steps taken after
-/// `WARMUP_STEPS` warm-up steps. The rig is the trainer's step loop in
+/// `WARMUP_STEPS` warm-up steps, and the heap allocations of each measured
+/// step. The rig is the trainer's step loop in
 /// miniature: one persistent [`Graph`] reset between steps, the default
 /// backbone (16×16 input, conv tokenizer, 2-layer task-keyed encoder,
 /// `d = 32`) + TIL head, nll loss, backward and an SGD update, on a batch
 /// of 8 images.
-fn steady_state_step_allocations() -> pool::PoolStats {
+fn steady_state_step_allocations() -> (pool::PoolStats, Vec<u64>) {
     const BATCH: usize = 8;
     const CLASSES: usize = 4;
     const WARMUP_STEPS: usize = 5;
@@ -83,16 +160,14 @@ fn steady_state_step_allocations() -> pool::PoolStats {
         step();
     }
     let before = pool::pool_stats();
-    for _ in 0..MEASURED_STEPS {
-        step();
-    }
-    pool::pool_stats().delta_since(&before)
+    let heap: Vec<u64> = (0..MEASURED_STEPS)
+        .map(|_| heap_allocs_during(&mut step))
+        .collect();
+    (pool::pool_stats().delta_since(&before), heap)
 }
 
 #[test]
 fn pooled_and_plain_allocation_are_bitwise_identical_and_pool_hits() {
-    kernels::set_num_threads(1);
-
     // A: pool on (the default). Task 0 warms the free lists; the delta
     // over task 1 is the steady-state window.
     pool::set_enabled(true);
@@ -114,7 +189,6 @@ fn pooled_and_plain_allocation_are_bitwise_identical_and_pool_hits() {
     pool::set_enabled(false);
     let (plain_params, plain_acc0, plain_acc1, _) = train();
     pool::set_enabled(true);
-    kernels::set_num_threads(0);
 
     assert_eq!(
         pooled_acc0, plain_acc0,
@@ -132,16 +206,19 @@ fn pooled_and_plain_allocation_are_bitwise_identical_and_pool_hits() {
         assert_eq!(pooled, plain, "param {name} diverged with pool off");
     }
 
-    // C: the zero-allocation steady state, at the default (or
-    // CDCL_THREADS) thread count, with the pool switched on explicitly so
-    // the contract also holds under CDCL_POOL=0.
+    // C: the zero-allocation steady state, with the pool switched on
+    // explicitly so the contract also holds under CDCL_POOL=0.
     pool::set_enabled(true);
-    let steps = steady_state_step_allocations();
+    let (steps, heap) = steady_state_step_allocations();
     assert!(steps.hits > 0, "the training step never touched the pool");
     assert_eq!(
         (steps.misses, steps.alloc_bytes),
         (0, 0),
         "a warmed training step allocated through the pool ({} hits)",
         steps.hits
+    );
+    assert!(
+        heap.iter().all(|&n| n == HEAP_ALLOCS_PER_STEP),
+        "heap allocations per warmed step: {heap:?}, expected {HEAP_ALLOCS_PER_STEP} each"
     );
 }

@@ -1,15 +1,13 @@
 //! End-to-end snapshot persistence (DESIGN.md §10): a trained CDCL learner
 //! round-trips through the versioned container **losslessly** — save →
 //! load → save reproduces the exact bytes, and a restored learner's
-//! TIL/CIL predictions are bitwise-identical to the original at every
-//! thread count. Plus the typed-failure surface: wrong magic, wrong
-//! version, and truncation come back as the matching [`SnapshotError`]
-//! variant, never a panic.
+//! TIL/CIL predictions are bitwise-identical to the original. Plus the
+//! typed-failure surface: wrong magic, wrong version, and truncation come
+//! back as the matching [`SnapshotError`] variant, never a panic.
 
 use cdcl::core::{CdclConfig, CdclTrainer, ContinualLearner};
 use cdcl::data::{mnist_usps, stack, MnistUspsDirection, Sample, Scale};
 use cdcl::snapshot::SnapshotError;
-use cdcl::tensor::kernels;
 use cdcl::tensor::Tensor;
 
 /// Trains the canonical two-task smoke workload (same as the determinism
@@ -41,7 +39,6 @@ fn bits(t: &Tensor) -> Vec<u32> {
 
 #[test]
 fn save_load_save_is_byte_identical() {
-    kernels::set_num_threads(1);
     let (trainer, _) = trained_with_batches();
     let first = trainer.snapshot_bytes();
     let loaded = CdclTrainer::from_snapshot_bytes(&first)
@@ -57,12 +54,10 @@ fn save_load_save_is_byte_identical() {
     let resumed = CdclTrainer::resume_from(&path).expect("resume from file");
     assert_eq!(resumed.snapshot_bytes(), first);
     std::fs::remove_dir_all(&dir).ok();
-    kernels::set_num_threads(0);
 }
 
 #[test]
-fn restored_predictions_are_bitwise_identical_across_thread_counts() {
-    kernels::set_num_threads(1);
+fn restored_predictions_are_bitwise_identical() {
     let (trainer, batches) = trained_with_batches();
     let snapshot = trainer.snapshot_bytes();
 
@@ -76,32 +71,26 @@ fn restored_predictions_are_bitwise_identical_across_thread_counts() {
         .collect();
     drop(trainer);
 
-    for threads in [1usize, 8] {
-        kernels::set_num_threads(threads);
-        let restored = CdclTrainer::from_snapshot_bytes(&snapshot)
-            .unwrap_or_else(|e| panic!("load failed at {threads} threads: {e}"));
-        for t in 0..2 {
-            assert_eq!(
-                bits(&restored.model().predict_til(&batches[t], t)),
-                reference_til[t],
-                "predict_til({t}) diverged after restore at {threads} threads"
-            );
-            assert_eq!(
-                bits(&restored.model().predict_cil(&batches[t])),
-                reference_cil[t],
-                "predict_cil diverged after restore at {threads} threads"
-            );
-        }
+    let restored =
+        CdclTrainer::from_snapshot_bytes(&snapshot).unwrap_or_else(|e| panic!("load failed: {e}"));
+    for t in 0..2 {
+        assert_eq!(
+            bits(&restored.model().predict_til(&batches[t], t)),
+            reference_til[t],
+            "predict_til({t}) diverged after restore"
+        );
+        assert_eq!(
+            bits(&restored.model().predict_cil(&batches[t])),
+            reference_cil[t],
+            "predict_cil diverged after restore"
+        );
     }
-    kernels::set_num_threads(0);
 }
 
 #[test]
 fn loader_failures_are_typed() {
-    kernels::set_num_threads(1);
     let (trainer, _) = trained_with_batches();
     let good = trainer.snapshot_bytes();
-    kernels::set_num_threads(0);
 
     // Wrong magic.
     let mut bad = good.clone();
