@@ -41,8 +41,7 @@
 //! complete on the version they started with. Admission control
 //! (`--max-inflight`, `--max-queue`) sheds excess load with
 //! `{"ok":false,"error":"busy: …"}` responses instead of queueing
-//! unboundedly. `--metrics-every N` prints a registry summary to stderr
-//! every `N` requests. Per-batch latency goes to `cdcl-telemetry` as
+//! unboundedly. Per-batch latency goes to `cdcl-telemetry` as
 //! `serve_batch` events and is summarized in `--bench-out`
 //! (`BENCH_serve.json`, with throughput measured over wall-clock serving
 //! time). The engine lives in `cdcl_bench::serve` so the integration

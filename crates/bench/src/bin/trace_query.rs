@@ -22,6 +22,7 @@
 //! by the serve process. `first_serve` (the first batch executed on the
 //! reloaded version) additionally closes the publish-to-visible loop.
 
+use cdcl_bench::trace::LineCounts;
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -181,40 +182,22 @@ struct TraceBench {
     first_serve_stage_ms: Pctl,
 }
 
-fn num(v: &Value, key: &str) -> Option<f64> {
-    match v.field(key)? {
-        Value::Num(n) => Some(*n),
-        _ => None,
-    }
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    match v.field(key)? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// Merged view of every input file, keyed by trace id.
 #[derive(Debug, Default)]
 struct Merged {
     traces: BTreeMap<u128, Trace>,
-    events: usize,
-    malformed: usize,
+    counts: LineCounts,
 }
 
 /// Folds one file's lines into the merge. `src` indexes the file list.
-fn fold_file(merged: &mut Merged, src: usize, lines: impl Iterator<Item = String>) {
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(&line) else {
-            merged.malformed += 1;
-            continue;
-        };
-        merged.events += 1;
-        let Some(trace_id) = str_field(&v, "trace").and_then(|s| u128::from_str_radix(s, 16).ok())
+fn fold_file<'l>(merged: &mut Merged, src: usize, lines: impl IntoIterator<Item = &'l str>) {
+    for v in lines
+        .into_iter()
+        .filter_map(|line| merged.counts.event(line))
+    {
+        let Some(trace_id) = v
+            .str_field("trace")
+            .and_then(|s| u128::from_str_radix(s, 16).ok())
         else {
             continue; // untraced event
         };
@@ -222,21 +205,23 @@ fn fold_file(merged: &mut Merged, src: usize, lines: impl Iterator<Item = String
         if let Some(Value::Arr(links)) = v.field("links") {
             trace.linked_requests += links.len();
         }
-        if str_field(&v, "ev") != Some("phase") {
+        if v.str_field("ev") != Some("phase") {
             continue;
         }
         let (Some(name), Some(span_hex), Some(wall_ms), Some(dur_ms)) = (
-            str_field(&v, "name"),
-            str_field(&v, "span"),
-            num(&v, "wall_ms"),
-            num(&v, "dur_ms"),
+            v.str_field("name"),
+            v.str_field("span"),
+            v.f64_field("wall_ms"),
+            v.f64_field("dur_ms"),
         ) else {
             continue;
         };
         let Ok(span_id) = u64::from_str_radix(span_hex, 16) else {
             continue;
         };
-        let parent = str_field(&v, "parent").and_then(|s| u64::from_str_radix(s, 16).ok());
+        let parent = v
+            .str_field("parent")
+            .and_then(|s| u64::from_str_radix(s, 16).ok());
         trace.spans.push(SpanRec {
             name: name.to_string(),
             span_id,
@@ -263,8 +248,8 @@ fn bench(merged: &Merged, files: usize) -> TraceBench {
     };
     TraceBench {
         files,
-        events: merged.events,
-        malformed: merged.malformed,
+        events: merged.counts.events,
+        malformed: merged.counts.malformed,
         spans: merged.traces.values().map(|t| t.spans.len()).sum(),
         traces: merged.traces.len(),
         complete_traces: complete.len(),
@@ -388,7 +373,7 @@ fn main() {
     for (src, path) in files.iter().enumerate() {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read trace {path}: {e}"));
-        fold_file(&mut merged, src, text.lines().map(str::to_string));
+        fold_file(&mut merged, src, text.lines());
     }
     let b = bench(&merged, files.len());
     print!("{}", render_markdown(&merged, &b, &files));
@@ -409,10 +394,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn lines<'a>(raw: &'a [&'a str]) -> impl Iterator<Item = String> + 'a {
-        raw.iter().map(|s| (*s).to_string())
-    }
 
     /// A two-process trace: traind emits window_commit (span 1, root) with
     /// children ingest/drift_detect/online_round/publish (spans 2-5);
@@ -438,8 +419,8 @@ mod tests {
 
     fn merged_fixture() -> Merged {
         let mut m = Merged::default();
-        fold_file(&mut m, 0, lines(&traind_lines()));
-        fold_file(&mut m, 1, lines(&serve_lines()));
+        fold_file(&mut m, 0, traind_lines());
+        fold_file(&mut m, 1, serve_lines());
         m
     }
 
@@ -447,7 +428,7 @@ mod tests {
     fn merges_files_into_one_complete_trace() {
         let m = merged_fixture();
         assert_eq!(m.traces.len(), 1);
-        assert_eq!(m.malformed, 0);
+        assert_eq!(m.counts.malformed, 0);
         let t = m.traces.values().next().expect("one trace");
         assert_eq!(t.spans.len(), 7);
         assert!(t.is_complete());
@@ -505,7 +486,7 @@ mod tests {
     fn incomplete_traces_are_counted_but_not_aggregated() {
         let mut m = Merged::default();
         // traind-only trace: no reload ever observed.
-        fold_file(&mut m, 0, lines(&traind_lines()));
+        fold_file(&mut m, 0, traind_lines());
         let b = bench(&m, 1);
         assert_eq!(b.traces, 1);
         assert_eq!(b.complete_traces, 0);
@@ -535,14 +516,14 @@ mod tests {
         fold_file(
             &mut m,
             0,
-            lines(&[
+            [
                 "not json",
                 r#"{"seq":1,"ms":1.0,"ev":"scalar","name":"loss_total","task":0,"value":1.0}"#,
                 r#"{"seq":2,"ms":2.0,"wall_ms":9.0,"ev":"phase","name":"warmup","task":0,"dur_ms":3.0}"#,
-            ]),
+            ],
         );
-        assert_eq!(m.malformed, 1);
-        assert_eq!(m.events, 2);
+        assert_eq!(m.counts.malformed, 1);
+        assert_eq!(m.counts.events, 2);
         assert!(m.traces.is_empty());
     }
 }

@@ -15,8 +15,9 @@
 
 use std::collections::BTreeMap;
 
+use cdcl_bench::trace::LineCounts;
 use cdcl_obs::hist;
-use serde::{Serialize, Value};
+use serde::Serialize;
 
 /// Aggregated view of one task's events.
 #[derive(Debug, Default, Clone, Serialize)]
@@ -58,7 +59,7 @@ struct PhaseDist {
 }
 
 /// The whole summary: tasks in order plus trace-level tallies.
-#[derive(Debug, Default, Serialize)]
+#[derive(Debug, Serialize)]
 struct Summary {
     tasks: Vec<TaskAgg>,
     /// Per-phase span-duration percentiles (trace-wide, sorted by name).
@@ -68,30 +69,8 @@ struct Summary {
     malformed: usize,
 }
 
-/// Numeric field accessor tolerating the telemetry encoding of non-finite
-/// floats as the strings `"NaN"` / `"inf"` / `"-inf"`.
-fn num(v: &Value, key: &str) -> Option<f64> {
-    match v.field(key)? {
-        Value::Num(n) => Some(*n),
-        Value::Str(s) => match s.as_str() {
-            "NaN" => Some(f64::NAN),
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            _ => None,
-        },
-        _ => None,
-    }
-}
-
-fn str_field<'a>(v: &'a Value, key: &str) -> Option<&'a str> {
-    match v.field(key)? {
-        Value::Str(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// Folds trace lines into the per-task summary.
-fn fold(lines: impl Iterator<Item = String>) -> Summary {
+fn fold<'l>(lines: impl IntoIterator<Item = &'l str>) -> Summary {
     let mut by_task: BTreeMap<usize, TaskAgg> = BTreeMap::new();
     let mut phase_ms: BTreeMap<usize, BTreeMap<String, f64>> = BTreeMap::new();
     // Trace-wide span distributions on the shared log-bucket grid, keyed by
@@ -99,18 +78,10 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
     // live `cdcl_train_*_step_us` histograms use — so the grid's nine
     // decades leave headroom on both ends.
     let mut dist: BTreeMap<String, ([u64; hist::BUCKET_COUNT], f64)> = BTreeMap::new();
-    let mut summary = Summary::default();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Ok(v) = serde_json::from_str::<Value>(&line) else {
-            summary.malformed += 1;
-            continue;
-        };
-        summary.events += 1;
-        if str_field(&v, "ev") == Some("phase") {
-            if let (Some(name), Some(ms)) = (str_field(&v, "name"), num(&v, "dur_ms")) {
+    let mut counts = LineCounts::default();
+    for v in lines.into_iter().filter_map(|line| counts.event(line)) {
+        if v.str_field("ev") == Some("phase") {
+            if let (Some(name), Some(ms)) = (v.str_field("name"), v.f64_field("dur_ms")) {
                 let (buckets, total) = dist
                     .entry(name.to_string())
                     .or_insert(([0u64; hist::BUCKET_COUNT], 0.0));
@@ -118,16 +89,16 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
                 *total += ms;
             }
         }
-        let Some(task) = num(&v, "task").map(|t| t as usize) else {
+        let Some(task) = v.u64_field("task").map(|t| t as usize) else {
             continue; // task-less events don't join the per-task table
         };
         let agg = by_task.entry(task).or_insert_with(|| TaskAgg {
             task,
             ..TaskAgg::default()
         });
-        match str_field(&v, "ev") {
+        match v.str_field("ev") {
             Some("phase") => {
-                if let (Some(name), Some(ms)) = (str_field(&v, "name"), num(&v, "dur_ms")) {
+                if let (Some(name), Some(ms)) = (v.str_field("name"), v.f64_field("dur_ms")) {
                     *phase_ms
                         .entry(task)
                         .or_default()
@@ -136,8 +107,8 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
                 }
             }
             Some("scalar") => {
-                let value = num(&v, "value");
-                match str_field(&v, "name") {
+                let value = v.f64_field("value");
+                match v.str_field("name") {
                     Some("loss_warmup" | "loss_total") => {
                         agg.steps += 1;
                         if agg.loss_first.is_none() {
@@ -152,8 +123,8 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
                 }
             }
             Some("counters") => {
-                agg.gemm_calls += num(&v, "gemm_calls").unwrap_or(0.0) as u64;
-                agg.gemm_fmas += num(&v, "gemm_fmas").unwrap_or(0.0) as u64;
+                agg.gemm_calls += v.u64_field("gemm_calls").unwrap_or(0);
+                agg.gemm_fmas += v.u64_field("gemm_fmas").unwrap_or(0);
             }
             Some("watchdog") => agg.watchdogs += 1,
             Some("warn") => agg.warnings += 1,
@@ -165,19 +136,22 @@ fn fold(lines: impl Iterator<Item = String>) -> Summary {
             agg.phase_ms = phases.into_iter().collect();
         }
     }
-    summary.tasks = by_task.into_values().collect();
-    summary.phases = dist
-        .into_iter()
-        .map(|(phase, (buckets, total_ms))| PhaseDist {
-            spans: buckets.iter().sum(),
-            total_ms,
-            p50_ms: hist::percentile(&buckets, 0.50) / 1000.0,
-            p95_ms: hist::percentile(&buckets, 0.95) / 1000.0,
-            p99_ms: hist::percentile(&buckets, 0.99) / 1000.0,
-            phase,
-        })
-        .collect();
-    summary
+    Summary {
+        tasks: by_task.into_values().collect(),
+        phases: dist
+            .into_iter()
+            .map(|(phase, (buckets, total_ms))| PhaseDist {
+                spans: buckets.iter().sum(),
+                total_ms,
+                p50_ms: hist::percentile(&buckets, 0.50) / 1000.0,
+                p95_ms: hist::percentile(&buckets, 0.95) / 1000.0,
+                p99_ms: hist::percentile(&buckets, 0.99) / 1000.0,
+                phase,
+            })
+            .collect(),
+        events: counts.events,
+        malformed: counts.malformed,
+    }
 }
 
 fn fmt_opt(v: Option<f64>) -> String {
@@ -286,7 +260,7 @@ fn main() {
     };
     let text = std::fs::read_to_string(&trace)
         .unwrap_or_else(|e| panic!("cannot read trace {trace}: {e}"));
-    let summary = fold(text.lines().map(str::to_string));
+    let summary = fold(text.lines());
     print!("{}", render_markdown(&summary));
     if let Some(path) = out_json {
         let json = serde_json::to_string_pretty(&summary).expect("summary serializes");
@@ -303,13 +277,9 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn lines<'a>(raw: &'a [&'a str]) -> impl Iterator<Item = String> + 'a {
-        raw.iter().map(|s| (*s).to_string())
-    }
-
     #[test]
     fn folds_phases_scalars_and_counters_per_task() {
-        let s = fold(lines(&[
+        let s = fold([
             r#"{"seq":0,"ms":0.1,"ev":"phase","name":"warmup","task":0,"epoch":0,"dur_ms":10.0}"#,
             r#"{"seq":1,"ms":1.0,"ev":"phase","name":"warmup","task":0,"epoch":1,"dur_ms":5.0}"#,
             r#"{"seq":2,"ms":2.0,"ev":"scalar","name":"loss_warmup","task":0,"epoch":0,"step":0,"value":2.5}"#,
@@ -317,7 +287,7 @@ mod tests {
             r#"{"seq":4,"ms":4.0,"ev":"scalar","name":"pair_agreement","task":0,"epoch":2,"value":0.75}"#,
             r#"{"seq":5,"ms":5.0,"ev":"counters","task":0,"gemm_calls":10,"gemm_fmas":1000}"#,
             r#"{"seq":6,"ms":6.0,"ev":"scalar","name":"memory_occupancy","task":1,"value":30}"#,
-        ]));
+        ]);
         assert_eq!(s.events, 7);
         assert_eq!(s.malformed, 0);
         assert_eq!(s.tasks.len(), 2);
@@ -346,20 +316,20 @@ mod tests {
 
     #[test]
     fn non_finite_strings_and_garbage_lines_are_handled() {
-        let s = fold(lines(&[
+        let s = fold([
             r#"{"seq":0,"ms":0.1,"ev":"watchdog","name":"loss_total","phase":"adaptation","task":0,"epoch":1,"step":2,"value":"NaN"}"#,
             "not json at all",
-        ]));
+        ]);
         assert_eq!(s.malformed, 1);
         assert_eq!(s.tasks[0].watchdogs, 1);
     }
 
     #[test]
     fn markdown_has_a_row_per_task() {
-        let s = fold(lines(&[
+        let s = fold([
             r#"{"seq":0,"ms":0.1,"ev":"scalar","name":"loss_total","task":0,"value":1.0}"#,
             r#"{"seq":1,"ms":0.2,"ev":"scalar","name":"loss_total","task":1,"value":2.0}"#,
-        ]));
+        ]);
         let md = render_markdown(&s);
         assert!(md.contains("| 0 | 1 | 1.0000 |"), "{md}");
         assert!(md.contains("| 1 | 1 | 2.0000 |"), "{md}");
@@ -367,15 +337,14 @@ mod tests {
 
     #[test]
     fn percentile_section_renders_and_skips_empty_traces() {
-        let with_spans = fold(lines(&[
+        let with_spans = fold([
             r#"{"seq":0,"ms":0.1,"ev":"phase","name":"adaptation","task":0,"epoch":0,"dur_ms":3.0}"#,
-        ]));
+        ]);
         let md = render_markdown(&with_spans);
         assert!(md.contains("## Phase duration percentiles (ms)"), "{md}");
         assert!(md.contains("| adaptation | 1 | 3.0 |"), "{md}");
-        let no_spans = fold(lines(&[
-            r#"{"seq":0,"ms":0.1,"ev":"scalar","name":"loss_total","task":0,"value":1.0}"#,
-        ]));
+        let no_spans =
+            fold([r#"{"seq":0,"ms":0.1,"ev":"scalar","name":"loss_total","task":0,"value":1.0}"#]);
         let md = render_markdown(&no_spans);
         assert!(!md.contains("percentiles"), "{md}");
     }

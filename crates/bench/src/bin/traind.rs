@@ -18,10 +18,9 @@
 //!     --notify 127.0.0.1:7400 --ckpt-dir ckpts
 //! ```
 //!
-//! Without `--listen` the same protocol runs over stdin/stdout. Drift
-//! thresholds come from the `CDCL_TRAIND_*` environment (see README);
-//! `STATUS` / `METRICS` verbs and HTTP `GET /metrics` scrapes work on any
-//! connection. The engine lives in `cdcl_bench::traind` so the
+//! Without `--listen` the same protocol runs over stdin/stdout; the drift
+//! detector runs with `DriftConfig::default()`. `STATUS` / `METRICS` verbs
+//! and HTTP `GET /metrics` scrapes work on any connection. The engine lives in `cdcl_bench::traind` so the
 //! integration tests can drive it in-process; `traind-stream` is the
 //! companion two-task stream driver used by CI.
 

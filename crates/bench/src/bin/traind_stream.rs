@@ -16,7 +16,6 @@
 //! time — under `{"latency": …}`. Any violated assertion exits non-zero,
 //! failing the CI job.
 
-use cdcl_bench::net::{field_bool, field_f64, field_u64};
 use cdcl_bench::{flag_usize, flag_value, parse_cli};
 use cdcl_data::{DomainPairConfig, Sample};
 use serde::Value;
@@ -160,7 +159,7 @@ fn commit_window(
     let ack: Value = serde_json::from_str(line.trim())
         .unwrap_or_else(|e| panic!("bad ack {:?}: {e}", line.trim()));
     assert_eq!(
-        field_bool(&ack, "ok"),
+        ack.bool_field("ok"),
         Some(true),
         "window commit refused: {}",
         line.trim()
@@ -176,7 +175,7 @@ fn check_publish(ack: &Value, expect_version: u64, expect_tasks: u64) -> f64 {
         _ => panic!("round ack lacks a publish block: {ack:?}"),
     };
     assert_eq!(
-        field_bool(publish, "ok"),
+        publish.bool_field("ok"),
         Some(true),
         "publish failed: {publish:?}"
     );
@@ -187,17 +186,18 @@ fn check_publish(ack: &Value, expect_version: u64, expect_tasks: u64) -> f64 {
     assert!(!reloads.is_empty(), "no reload targets were notified");
     for r in reloads {
         assert_eq!(
-            field_u64(r, "version"),
+            r.u64_field("version"),
             Some(expect_version),
             "reload did not stamp version {expect_version}: {r:?}"
         );
         assert_eq!(
-            field_u64(r, "tasks"),
+            r.u64_field("tasks"),
             Some(expect_tasks),
             "reload did not report {expect_tasks} tasks: {r:?}"
         );
     }
-    field_f64(publish, "publish_us")
+    publish
+        .f64_field("publish_us")
         .unwrap_or_else(|| panic!("publish block lacks publish_us: {publish:?}"))
 }
 
@@ -227,13 +227,13 @@ fn probe_serve(addr: &str, image_len: usize, expect_version: u64) {
     let resp: Value = serde_json::from_str(reply.trim())
         .unwrap_or_else(|e| panic!("bad predict reply {:?}: {e}", reply.trim()));
     assert_eq!(
-        field_bool(&resp, "ok"),
+        resp.bool_field("ok"),
         Some(true),
         "predict failed: {}",
         reply.trim()
     );
     assert_eq!(
-        field_u64(&resp, "version"),
+        resp.u64_field("version"),
         Some(expect_version),
         "stale snapshot answered the probe: {}",
         reply.trim()
@@ -259,7 +259,7 @@ fn main() {
         bootstrap_ack = commit_window(&mut writer, &mut reader, &stream.tasks[0], w, per_window);
     }
     assert_eq!(
-        field_u64(&bootstrap_ack, "rounds"),
+        bootstrap_ack.u64_field("rounds"),
         Some(1),
         "bootstrap round did not run: {bootstrap_ack:?}"
     );
@@ -279,7 +279,7 @@ fn main() {
             per_window,
         );
         assert_eq!(
-            field_u64(&ack, "detections"),
+            ack.u64_field("detections"),
             Some(0),
             "false drift detection on a within-task window: {ack:?}"
         );
@@ -292,11 +292,11 @@ fn main() {
     let mut round2_ack = None;
     for w in 0..args.max_shift_windows {
         let ack = commit_window(&mut writer, &mut reader, &stream.tasks[1], w, per_window);
-        let window = field_u64(&ack, "window").expect("ack window index");
-        if detected_at.is_none() && field_u64(&ack, "detections") == Some(1) {
+        let window = ack.u64_field("window").expect("ack window index");
+        if detected_at.is_none() && ack.u64_field("detections") == Some(1) {
             detected_at = Some(window);
         }
-        if field_u64(&ack, "rounds") == Some(2) {
+        if ack.u64_field("rounds") == Some(2) {
             round2_ack = Some(ack);
             break;
         }
@@ -311,12 +311,14 @@ fn main() {
         round2_ack.unwrap_or_else(|| panic!("detection at window {detected_at} never trained"));
 
     // The inferred boundary must match the generator's ground truth.
-    let boundary = field_u64(&round2_ack, "boundary").expect("round ack boundary");
+    let boundary = round2_ack
+        .u64_field("boundary")
+        .expect("round ack boundary");
     assert_eq!(
         boundary, switch_window as u64,
         "inferred boundary {boundary} != ground-truth switch window {switch_window}"
     );
-    assert_eq!(field_u64(&round2_ack, "tasks"), Some(2), "{round2_ack:?}");
+    assert_eq!(round2_ack.u64_field("tasks"), Some(2), "{round2_ack:?}");
     let publish_us = check_publish(&round2_ack, 2, 2);
     let detection_windows = detected_at - switch_window as u64 + 1;
     eprintln!(

@@ -17,6 +17,7 @@
 
 pub mod net;
 pub mod serve;
+pub mod trace;
 pub mod traind;
 
 use cdcl_baselines::{

@@ -28,7 +28,6 @@
 //! survived.
 
 use cdcl_obs::Counter;
-use serde::Value;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc;
@@ -177,33 +176,6 @@ pub(crate) fn registry_json() -> String {
 /// JSON-escapes a message for the hand-assembled replies.
 pub(crate) fn json_str(s: &str) -> String {
     serde_json::to_string(s).expect("serialize string")
-}
-
-/// Typed field lookups in a reply parsed into the vendored
-/// [`serde::Value`] tree, for clients of the line protocol.
-pub fn field_bool(v: &Value, name: &str) -> Option<bool> {
-    match v.field(name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-pub fn field_f64(v: &Value, name: &str) -> Option<f64> {
-    match v.field(name) {
-        Some(Value::Num(n)) => Some(*n),
-        _ => None,
-    }
-}
-
-pub fn field_u64(v: &Value, name: &str) -> Option<u64> {
-    field_f64(v, name).map(|n| n as u64)
-}
-
-pub fn field_str<'v>(v: &'v Value, name: &str) -> Option<&'v str> {
-    match v.field(name) {
-        Some(Value::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
 }
 
 /// Answers the HTTP `GET` whose request line is in `buf`: drains the

@@ -53,11 +53,6 @@ pub(crate) static QUEUE_DEPTH: Histogram = Histogram::new(
     "cdcl_serve_queue_depth",
     "Pending queue length at each flush (before grouping)",
 );
-pub(crate) static SERVE_ALLOC_BYTES: Counter = Counter::new(
-    "cdcl_serve_alloc_bytes_total",
-    "Heap bytes allocated by the tensor pool while staging request batches \
-     (zero growth in steady state: recycled pool buffers cover every flush)",
-);
 
 // ------------------------------------------------------------------
 // Per-model families (one series per registry model id)

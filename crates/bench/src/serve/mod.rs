@@ -25,8 +25,7 @@
 //! (DESIGN.md §11): every micro-batch feeds the global and per-model
 //! histograms/counters, `GET /metrics` on the listener answers the
 //! Prometheus exposition, the bare line `METRICS` returns the registry as
-//! one JSON object, `MODELS` lists the loaded models/versions, and
-//! `--metrics-every N` prints a summary to stderr every `N` requests.
+//! one JSON object, and `MODELS` lists the loaded models/versions.
 //! Output probabilities are screened per batch: a row containing NaN/Inf
 //! becomes an error response and bumps `cdcl_serve_nonfinite_total`.
 
@@ -39,10 +38,10 @@ use crate::{flag_usize, flag_value};
 use cdcl_core::CdclTrainer;
 use cdcl_obs::HistogramCore;
 use cdcl_telemetry as telemetry;
-use cdcl_tensor::{pool, PooledBuf, Tensor};
+use cdcl_tensor::{PooledBuf, Tensor};
 use metrics::{
     ACCEPT_ERRORS_TOTAL, BATCHES_TOTAL, BATCH_LATENCY_US, BATCH_SIZE, BUSY_TOTAL, FAILED_TOTAL,
-    NONFINITE_TOTAL, OVERSIZE_LINES_TOTAL, QUEUE_DEPTH, REQUESTS_TOTAL, SERVE_ALLOC_BYTES,
+    NONFINITE_TOTAL, OVERSIZE_LINES_TOTAL, QUEUE_DEPTH, REQUESTS_TOTAL,
 };
 use registry::{LoadedModel, ModelSlot, SnapshotRegistry, DEFAULT_MODEL};
 use serde::{Deserialize, Serialize};
@@ -304,8 +303,6 @@ pub struct ServeArgs {
     pub bench_out: Option<String>,
     /// TCP mode: exit after this many connections (0 = forever).
     pub conns: usize,
-    /// Stderr metrics summary every N requests (0 = never).
-    pub metrics_every: usize,
     /// TCP accept-loop workers.
     pub threads: usize,
     /// Per-model admitted-request quota (0 = unlimited).
@@ -325,7 +322,6 @@ impl Default for ServeArgs {
             max_batch: 32,
             bench_out: Some("BENCH_serve.json".to_string()),
             conns: 1,
-            metrics_every: 0,
             threads: 4,
             max_inflight: 0,
             max_queue: 256,
@@ -339,7 +335,7 @@ pub fn serve_usage() -> String {
     "usage: cdcl-serve --snapshot <path.cdclsnap> | --model <id>=<path.cdclsnap> ... | --empty-ok\n\
      \x20   [--tcp <addr>] [--threads <n>] [--conns <n>]\n\
      \x20   [--max-batch <n>] [--max-inflight <n>] [--max-queue <n>]\n\
-     \x20   [--bench-out <path|none>] [--metrics-every <n>]"
+     \x20   [--bench-out <path|none>]"
         .to_string()
 }
 
@@ -386,7 +382,6 @@ pub fn parse_args_from(argv: &[String]) -> Result<ServeArgs, String> {
                 };
             }
             "--conns" => args.conns = flag_usize(argv, i, serve_usage)?,
-            "--metrics-every" => args.metrics_every = flag_usize(argv, i, serve_usage)?,
             "--threads" => {
                 args.threads = flag_usize(argv, i, serve_usage)?;
                 if args.threads == 0 {
@@ -609,12 +604,9 @@ fn flush_batch(
         let (c, h, w) = trainer.input_dims();
         let n = g.members.len();
         // Batch staging comes from the tensor pool; after warm-up the same
-        // batch shapes recur, so this is a recycled buffer and the
-        // `cdcl_serve_alloc_bytes_total` delta below stays zero. `validate`
+        // batch shapes recur, so this is a recycled buffer. `validate`
         // guaranteed every member image is exactly `c*h*w` long.
-        let alloc_before = pool::pool_stats().alloc_bytes;
         let mut data = PooledBuf::take_uninit(n * c * h * w);
-        SERVE_ALLOC_BYTES.add(pool::pool_stats().alloc_bytes.saturating_sub(alloc_before));
         for (row, &i) in g.members.iter().enumerate() {
             let img = match &queue[i] {
                 Pending::Admitted { req, .. } => req.image.as_deref().unwrap_or(&[]),
@@ -761,21 +753,6 @@ pub fn row_response(id: u64, is_til: bool, task: usize, p: &[f32], stats: &Serve
     }
 }
 
-/// One-line registry summary for `--metrics-every` stderr reporting.
-fn metrics_summary_line(stats: &ServeStats) -> String {
-    format!(
-        "cdcl-serve: metrics: {} requests ({} failed, {} busy, {} nonfinite), {} batches, latency_us p50 {:.0} p99 {:.0}, batch_size p50 {:.1}",
-        stats.requests(),
-        stats.failed(),
-        stats.busy(),
-        NONFINITE_TOTAL.get(),
-        stats.batch_count(),
-        BATCH_LATENCY_US.percentile(0.50),
-        BATCH_LATENCY_US.percentile(0.99),
-        BATCH_SIZE.percentile(0.50),
-    )
-}
-
 /// The daemon identity the shared line server records into.
 static NET: net::Daemon = net::Daemon {
     name: "cdcl-serve",
@@ -794,7 +771,6 @@ struct ServeSession<'a> {
     args: &'a ServeArgs,
     stats: &'a ServeStats,
     pending: Vec<Pending>,
-    reported_at: u64,
 }
 
 impl<'a> ServeSession<'a> {
@@ -804,7 +780,6 @@ impl<'a> ServeSession<'a> {
             args,
             stats,
             pending: Vec::new(),
-            reported_at: 0,
         }
     }
 }
@@ -853,12 +828,6 @@ impl net::Session for ServeSession<'_> {
                     writer.flush()?;
                 }
             }
-        }
-        if args.metrics_every > 0
-            && stats.requests() >= self.reported_at + args.metrics_every as u64
-        {
-            self.reported_at = stats.requests();
-            eprintln!("{}", metrics_summary_line(stats));
         }
         Ok(())
     }

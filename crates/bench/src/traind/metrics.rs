@@ -3,8 +3,8 @@
 //! One daemon serves one model, so plain process-wide statics suffice —
 //! there are no per-model families here. The drift gauges expose the
 //! detector's live internals (last window score, CUSUM statistic,
-//! baseline), which is what an operator watches to tune the
-//! `CDCL_TRAIND_*` thresholds.
+//! baseline), which is what an operator watches to judge the drift
+//! thresholds.
 
 use cdcl_obs::{Counter, Gauge, Histogram};
 

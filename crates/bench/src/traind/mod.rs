@@ -123,8 +123,7 @@ pub fn traind_usage() -> String {
      \x20   [--notify <addr>]... [--snapshot <path.cdclsnap>] [--ckpt-dir <dir>]\n\
      \x20   [--in-channels <n>] [--in-hw <h>x<w>] [--epochs <n>] [--warmup <n>]\n\
      \x20   [--seed <n>] [--threads <n>] [--conns <n>]\n\
-     \x20   [--bootstrap-windows <n>] [--max-stage <n>]\n\
-     drift thresholds come from the CDCL_TRAIND_* environment (see README)"
+     \x20   [--bootstrap-windows <n>] [--max-stage <n>]"
         .to_string()
 }
 
@@ -438,12 +437,9 @@ impl TraindState {
             target_train: target,
             target_test: Vec::new(),
         };
-        {
-            let _s = telemetry::span("online_round").task(task_id);
-            let timer = metrics::ROUND_LATENCY_US.time();
-            self.trainer.learn_task(&task);
-            drop(timer);
-        }
+        let round = metrics::ROUND_LATENCY_US.span("online_round").task(task_id);
+        self.trainer.learn_task(&task);
+        round.finish();
         self.rounds += 1;
         metrics::ROUNDS_TOTAL.inc();
         metrics::TASKS.set(self.trainer.model().num_tasks() as f64);
@@ -523,14 +519,14 @@ fn lock_traind<'m>(
 }
 
 impl TraindDaemon {
-    /// Builds a daemon around an existing trainer with drift thresholds
-    /// from the `CDCL_TRAIND_*` environment.
+    /// Builds a daemon around an existing trainer with the default drift
+    /// thresholds.
     pub fn new(args: TraindArgs, trainer: CdclTrainer) -> Self {
-        Self::with_drift_config(args, trainer, DriftConfig::from_env())
+        Self::with_drift_config(args, trainer, DriftConfig::default())
     }
 
     /// Builds a daemon with an explicit drift configuration (tests inject
-    /// thresholds here instead of mutating the process environment).
+    /// thresholds here).
     pub fn with_drift_config(args: TraindArgs, trainer: CdclTrainer, drift: DriftConfig) -> Self {
         let detector = DriftDetector::new(drift);
         Self {

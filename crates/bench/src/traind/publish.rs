@@ -11,13 +11,12 @@
 
 use super::metrics;
 use super::TraindArgs;
-use crate::net::{field_bool, field_str, field_u64, IO_TIMEOUT};
+use crate::net::IO_TIMEOUT;
 use cdcl_telemetry as telemetry;
 use serde::Value;
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// What one finished online round hands to the publish loop.
 pub struct RoundArtifact {
@@ -56,8 +55,7 @@ pub struct PublishOutcome {
 /// Publishes one round: atomic snapshot write, then `RELOAD` + `MODELS`
 /// verification against every notify target.
 pub fn publish_round(args: &TraindArgs, round: &RoundArtifact) -> PublishOutcome {
-    let _s = telemetry::span("publish").task(round.task);
-    let started = Instant::now();
+    let region = metrics::PUBLISH_LATENCY_US.span("publish").task(round.task);
     let path = args
         .publish_dir
         .join(format!("task{:03}.cdclsnap", round.task));
@@ -79,13 +77,12 @@ pub fn publish_round(args: &TraindArgs, round: &RoundArtifact) -> PublishOutcome
             reloads.push(Err(format!("snapshot write {}: {e}", path.display())));
         }
     }
-    let publish_us = started.elapsed().as_secs_f64() * 1e6;
+    let publish_us = region.finish();
     if ok {
         metrics::PUBLISH_TOTAL.inc();
     } else {
         metrics::PUBLISH_FAILED_TOTAL.inc();
     }
-    metrics::PUBLISH_LATENCY_US.observe(publish_us);
     if telemetry::enabled() {
         telemetry::Event::new("traind")
             .name("published")
@@ -151,10 +148,11 @@ fn notify_one(
         .map_err(|e| fail("read RELOAD reply", e))?;
     let reply: Value = serde_json::from_str(line.trim())
         .map_err(|e| format!("{addr}: bad RELOAD reply {:?}: {e}", line.trim()))?;
-    if field_bool(&reply, "ok") != Some(true) {
+    if reply.bool_field("ok") != Some(true) {
         return Err(format!("{addr}: RELOAD refused: {}", line.trim()));
     }
-    let version = field_u64(&reply, "version")
+    let version = reply
+        .u64_field("version")
         .ok_or_else(|| format!("{addr}: RELOAD reply lacks version: {}", line.trim()))?;
 
     writeln!(writer, "MODELS{trace_suffix}")
@@ -172,11 +170,11 @@ fn notify_one(
     };
     let row = rows
         .iter()
-        .find(|r| field_str(r, "model") == Some(model))
+        .find(|r| r.str_field("model") == Some(model))
         .ok_or_else(|| format!("{addr}: MODELS does not list {model}: {}", line.trim()))?;
-    let served_version = field_u64(row, "version");
-    let tasks = field_u64(row, "tasks");
-    let centroid_tasks = field_u64(row, "centroid_tasks");
+    let served_version = row.u64_field("version");
+    let tasks = row.u64_field("tasks");
+    let centroid_tasks = row.u64_field("centroid_tasks");
     if served_version != Some(version) {
         return Err(format!(
             "{addr}: reload not visible: RELOAD said v{version}, MODELS serves {served_version:?}"

@@ -32,17 +32,13 @@ fn field<'v>(v: &'v Value, name: &str) -> &'v Value {
 }
 
 fn field_u64(v: &Value, name: &str) -> u64 {
-    match field(v, name) {
-        Value::Num(n) => *n as u64,
-        other => panic!("field {name:?} is not a number: {other:?}"),
-    }
+    v.u64_field(name)
+        .unwrap_or_else(|| panic!("no number field {name:?} in {v:?}"))
 }
 
 fn field_bool(v: &Value, name: &str) -> bool {
-    match field(v, name) {
-        Value::Bool(b) => *b,
-        other => panic!("field {name:?} is not a bool: {other:?}"),
-    }
+    v.bool_field(name)
+        .unwrap_or_else(|| panic!("no bool field {name:?} in {v:?}"))
 }
 
 /// The streamed scenario: two tasks over the same label set with a strong
@@ -168,8 +164,8 @@ fn closed_loop_detects_trains_and_publishes_live() {
     });
     let serve_stats = leak(ServeStats::default());
 
-    // Traind side: fresh zero-task trainer, defaults injected explicitly
-    // so the test is independent of the CDCL_TRAIND_* environment.
+    // Traind side: fresh zero-task trainer, with the default drift
+    // thresholds injected explicitly.
     let publish_dir = std::env::temp_dir().join(format!("traind-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&publish_dir);
     std::fs::create_dir_all(&publish_dir).expect("create publish dir");
@@ -330,12 +326,7 @@ struct SpanLine {
 }
 
 fn phase_spans(trace_text: &str) -> Vec<SpanLine> {
-    let field_str = |v: &Value, name: &str| -> Option<String> {
-        match v.field(name) {
-            Some(Value::Str(s)) => Some(s.clone()),
-            _ => None,
-        }
-    };
+    let field_str = |v: &Value, name: &str| v.str_field(name).map(str::to_string);
     trace_text
         .lines()
         .filter_map(|line| serde_json::from_str::<Value>(line.trim()).ok())
@@ -418,10 +409,10 @@ fn one_trace_id_survives_commit_publish_reload_and_first_serve() {
             ack = commit_window(&mut writer, &mut reader, &stream.tasks[0], w, per_window);
         }
         assert_publish(&ack, 1, 1);
-        let ack_trace = match field(&ack, "trace") {
-            Value::Str(s) => s.clone(),
-            other => panic!("traced commit ack has no trace field: {other:?}"),
-        };
+        let ack_trace = ack
+            .str_field("trace")
+            .unwrap_or_else(|| panic!("traced commit ack has no trace field: {ack:?}"))
+            .to_string();
 
         // First request on the published version: completes the trace.
         let conn = TcpStream::connect(&serve_addr).expect("connect predict client");

@@ -48,12 +48,10 @@ const LOCK_METHODS: [&str; 3] = ["lock", "read", "write"];
 /// Workspace wrapper fns that acquire and return a guard. Their bodies are
 /// skipped (the interior `m.lock()` would double-count) and their call
 /// sites are acquisitions, labeled by the first string-literal argument.
-pub const WRAPPER_FNS: [&str; 8] = [
+pub const WRAPPER_FNS: [&str; 6] = [
     "lock",
     "read_lock",
     "write_lock",
-    "lock_entries",
-    "lock_family",
     "lock_first_serve",
     "lock_sink",
     "lock_traind",

@@ -44,8 +44,8 @@
 use std::fmt;
 
 /// Tuning knobs for [`DriftDetector`]. Defaults are conservative enough for
-/// the synthetic `domain_gap` streams in the test suite; operators override
-/// them through the `CDCL_TRAIND_*` environment rows (see README).
+/// the synthetic `domain_gap` streams in the test suite; `cdcl-traind` runs
+/// with them, and tests build explicit configs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Windows used to establish the initial baseline (running mean).
@@ -85,25 +85,6 @@ impl Default for DriftConfig {
 }
 
 impl DriftConfig {
-    /// Builds a config from the `CDCL_TRAIND_*` environment variables,
-    /// falling back to the default for any variable that is unset or does
-    /// not parse. Out-of-range values are clamped to the nearest sane
-    /// bound so a typo degrades sensitivity instead of wedging the daemon.
-    pub fn from_env() -> Self {
-        let d = Self::default();
-        let mut cfg = Self {
-            calibration: env_usize("CDCL_TRAIND_CALIBRATION", d.calibration),
-            ewma_alpha: env_f64("CDCL_TRAIND_EWMA_ALPHA", d.ewma_alpha),
-            cusum_k: env_f64("CDCL_TRAIND_CUSUM_K", d.cusum_k),
-            cusum_h: env_f64("CDCL_TRAIND_CUSUM_H", d.cusum_h),
-            rearm_ratio: env_f64("CDCL_TRAIND_REARM", d.rearm_ratio),
-            sustain: env_usize("CDCL_TRAIND_SUSTAIN", d.sustain),
-            two_sided: env_bool("CDCL_TRAIND_TWO_SIDED", d.two_sided),
-        };
-        cfg.sanitize();
-        cfg
-    }
-
     /// Clamps every field to its valid range (see field docs).
     pub fn sanitize(&mut self) {
         let d = Self::default();
@@ -121,28 +102,6 @@ impl DriftConfig {
             self.rearm_ratio = d.rearm_ratio;
         }
         self.sustain = self.sustain.max(1);
-    }
-}
-
-fn env_usize(var: &str, default: usize) -> usize {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|v: &f64| v.is_finite())
-        .unwrap_or(default)
-}
-
-fn env_bool(var: &str, default: bool) -> bool {
-    match std::env::var(var) {
-        Ok(v) => matches!(v.trim(), "1" | "true" | "yes" | "on"),
-        Err(_) => default,
     }
 }
 

@@ -3,8 +3,10 @@
 //! These statics are the trainer's half of the `cdcl-obs` registry: step
 //! timers as log-bucketed histograms, the drift signals from Eqs. 17–19
 //! (`pair_agreement`, `pseudo_flip_rate`) as gauges, and rehearsal-memory
-//! occupancy. All record sites gate on [`cdcl_obs::enabled`], so a
-//! metrics-off run does no extra work (and stays bitwise identical —
+//! occupancy. A signal that also has a `scalar` trace event is computed
+//! only when [`recording`] and goes through [`record`], its one
+//! instrumentation point for both layers; a run with both layers off does
+//! no extra work (and stays bitwise identical —
 //! `tests/integration_metrics.rs`).
 //!
 //! When *both* telemetry and metrics are on, [`emit_health_event`] folds a
@@ -50,6 +52,37 @@ pub(crate) static TASKS_TOTAL: Counter = Counter::new(
     "cdcl_train_tasks_total",
     "Tasks completed by the continual learner",
 );
+
+/// True when either layer records: the gate on computing any training
+/// signal, so a run with both layers off reads no loss and reduces no
+/// gradient.
+pub(crate) fn recording() -> bool {
+    telemetry::enabled() || cdcl_obs::enabled()
+}
+
+/// Records one training signal at its single instrumentation point: sets
+/// `gauge` (metrics on) and emits the `scalar` event `name` with its
+/// task/epoch — and `step`, for per-step signals — context (tracing on).
+pub(crate) fn record(
+    name: &str,
+    gauge: Option<&Gauge>,
+    value: f64,
+    task: usize,
+    epoch: usize,
+    step: Option<usize>,
+) {
+    if let Some(g) = gauge {
+        g.set(value);
+    }
+    let mut ev = telemetry::Event::new("scalar")
+        .name(name)
+        .task(task)
+        .epoch(epoch);
+    if let Some(s) = step {
+        ev = ev.step(s);
+    }
+    ev.value(value).emit();
+}
 
 /// Emits one `health` trace event summarising the registry: last
 /// loss/grad-norm, the Eq. 17–19 drift gauges, memory occupancy, step

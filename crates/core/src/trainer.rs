@@ -178,22 +178,20 @@ impl CdclTrainer {
             .sqrt()
     }
 
-    /// Emits the per-step `grad_norm` scalar and runs the NaN/Inf watchdog
-    /// on both `loss` and the gradient norm (tracing enabled only).
-    fn trace_step(&self, loss_name: &'static str, loss: f64, ctx: telemetry::WatchdogCtx) {
-        if !telemetry::enabled() {
-            return;
-        }
-        telemetry::check_finite(loss_name, loss, ctx);
-        let gn = self.grad_norm();
-        telemetry::Event::new("scalar")
-            .name("grad_norm")
-            .task(ctx.task)
-            .epoch(ctx.epoch)
-            .step(ctx.step)
-            .value(gn)
-            .emit();
-        telemetry::check_finite("grad_norm", gn, ctx);
+    /// Records one optimizer step's signals, each computed once and fed to
+    /// every enabled sink: the step counter, the loss (`cdcl_train_loss`
+    /// and the `loss_name` scalar) and the global gradient norm
+    /// (`cdcl_train_grad_norm` and the `grad_norm` scalar). The NaN/Inf
+    /// watchdog runs on both when tracing is on. Callers gate on
+    /// [`health::recording`], so with both layers off nothing is read.
+    fn record_step(&self, loss_name: &'static str, loss: f64, at: telemetry::WatchdogCtx) {
+        let record = |name: &'static str, gauge, value: f64| {
+            health::record(name, Some(gauge), value, at.task, at.epoch, Some(at.step));
+            telemetry::check_finite(name, value, at);
+        };
+        health::STEPS_TOTAL.inc();
+        record(loss_name, &health::LOSS, loss);
+        record("grad_norm", &health::GRAD_NORM, self.grad_norm());
     }
 
     /// Runs `body` on each `EVAL_CHUNK`-sized sub-range of `0..len`, in
@@ -469,30 +467,14 @@ impl CdclTrainer {
         self.optimizer.zero_grad();
         g.backward(loss);
         self.verify_first_graph(&g, loss, t, epoch);
-        if telemetry::enabled() {
-            let lv = f64::from(g.value(loss).item());
-            telemetry::Event::new("scalar")
-                .name("loss_warmup")
-                .task(t)
-                .epoch(epoch)
-                .step(step)
-                .value(lv)
-                .emit();
-            self.trace_step(
-                "loss_warmup",
-                lv,
-                telemetry::WatchdogCtx {
-                    phase: "warmup",
-                    task: t,
-                    epoch,
-                    step,
-                },
-            );
-        }
-        if cdcl_obs::enabled() {
-            health::STEPS_TOTAL.inc();
-            health::LOSS.set(f64::from(g.value(loss).item()));
-            health::GRAD_NORM.set(self.grad_norm());
+        if health::recording() {
+            let at = telemetry::WatchdogCtx {
+                phase: "warmup",
+                task: t,
+                epoch,
+                step,
+            };
+            self.record_step("loss_warmup", f64::from(g.value(loss).item()), at);
         }
         self.optimizer.step(lr);
         self.step_graph = g;
@@ -585,43 +567,31 @@ impl CdclTrainer {
         self.optimizer.zero_grad();
         g.backward(loss);
         self.verify_first_graph(&g, loss, t, epoch);
-        if telemetry::enabled() {
-            let scalar = |name: &str, v: f64| {
-                telemetry::Event::new("scalar")
-                    .name(name)
-                    .task(t)
-                    .epoch(epoch)
-                    .step(step)
-                    .value(v)
-                    .emit();
+        if health::recording() {
+            let item = |l: Var| f64::from(g.value(l).item());
+            // The per-term losses feed the trace only.
+            if telemetry::enabled() {
+                let terms = [
+                    ("loss_til", l_til.map(item)),
+                    ("loss_cil", l_cil.map(item)),
+                    (
+                        "loss_rehearsal",
+                        (!l_reh.is_empty()).then(|| l_reh.iter().map(|&l| item(l)).sum()),
+                    ),
+                ];
+                for (name, v) in terms {
+                    if let Some(v) = v {
+                        health::record(name, None, v, t, epoch, Some(step));
+                    }
+                }
+            }
+            let at = telemetry::WatchdogCtx {
+                phase: "adaptation",
+                task: t,
+                epoch,
+                step,
             };
-            if let Some(l) = l_til {
-                scalar("loss_til", f64::from(g.value(l).item()));
-            }
-            if let Some(l) = l_cil {
-                scalar("loss_cil", f64::from(g.value(l).item()));
-            }
-            if !l_reh.is_empty() {
-                let v: f64 = l_reh.iter().map(|&l| f64::from(g.value(l).item())).sum();
-                scalar("loss_rehearsal", v);
-            }
-            let total = f64::from(g.value(loss).item());
-            scalar("loss_total", total);
-            self.trace_step(
-                "loss_total",
-                total,
-                telemetry::WatchdogCtx {
-                    phase: "adaptation",
-                    task: t,
-                    epoch,
-                    step,
-                },
-            );
-        }
-        if cdcl_obs::enabled() {
-            health::STEPS_TOTAL.inc();
-            health::LOSS.set(f64::from(g.value(loss).item()));
-            health::GRAD_NORM.set(self.grad_norm());
+            self.record_step("loss_total", item(loss), at);
         }
         self.optimizer.step(lr);
         self.step_graph = g;
@@ -656,38 +626,23 @@ impl CdclTrainer {
             self.last_centroids = Some(centroids);
             labels
         };
-        if telemetry::enabled() || cdcl_obs::enabled() {
+        if health::recording() {
             // How much the assignments moved between the two rounds: high
             // flip rates flag unstable centroids / noisy pseudo-labels.
             let flip = label_flip_rate(&first, &pseudo);
-            health::PSEUDO_FLIP_RATE.set(flip);
-            if telemetry::enabled() {
-                telemetry::Event::new("scalar")
-                    .name("pseudo_flip_rate")
-                    .task(t)
-                    .epoch(epoch)
-                    .value(flip)
-                    .emit();
-            }
+            let gauge = Some(&health::PSEUDO_FLIP_RATE);
+            health::record("pseudo_flip_rate", gauge, flip, t, epoch, None);
         }
         let pairs = {
             let _s = telemetry::span("pair_filter").task(t).epoch(epoch);
             build_pairs(&src_feats, &src_labels, &tgt_feats, &pseudo)
         };
-        if telemetry::enabled() || cdcl_obs::enabled() {
+        if health::recording() {
             // Eq. 19 agreement: the fraction of target samples whose
             // pseudo-label found a matching source sample.
-            let denom = task.target_train.len().max(1) as f64;
-            let agreement = pairs.len() as f64 / denom;
-            health::PAIR_AGREEMENT.set(agreement);
-            if telemetry::enabled() {
-                telemetry::Event::new("scalar")
-                    .name("pair_agreement")
-                    .task(t)
-                    .epoch(epoch)
-                    .value(agreement)
-                    .emit();
-            }
+            let agreement = pairs.len() as f64 / task.target_train.len().max(1) as f64;
+            let gauge = Some(&health::PAIR_AGREEMENT);
+            health::record("pair_agreement", gauge, agreement, t, epoch, None);
         }
         if !pairs.is_empty() {
             return pairs;

@@ -47,6 +47,7 @@ pub mod hist;
 pub mod lockhook;
 
 use hist::BUCKET_COUNT;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
@@ -99,9 +100,10 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Poison-tolerant lock: a panicked writer cannot corrupt the registry
-/// (entries are append-only), so taking over a poisoned mutex is sound and
-/// keeps this crate free of panic paths.
-fn lock_entries(m: &Mutex<Vec<Entry>>) -> MutexGuard<'_, Vec<Entry>> {
+/// (entries are append-only) or an exemplar slot (a single `Option`
+/// overwrite), so taking over a poisoned mutex is sound and keeps this
+/// crate free of panic paths.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
@@ -237,12 +239,7 @@ impl HistogramCore {
     /// reached from traced, sampled observations.
     #[cold]
     fn record_exemplar(&self, bucket: usize, c: cdcl_telemetry::ctx::TraceContext) {
-        // Poison-tolerant like the registry locks: the slot is a single
-        // `Option` overwrite, so taking over a poisoned mutex is sound.
-        let mut slot = match self.exemplar.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut slot = lock(&self.exemplar);
         if slot.as_ref().is_none_or(|e| bucket >= e.bucket) {
             *slot = Some(Exemplar {
                 bucket,
@@ -255,10 +252,7 @@ impl HistogramCore {
     /// The current max-bucket trace exemplar, if any traced observation
     /// has been recorded.
     pub fn exemplar(&self) -> Option<Exemplar> {
-        match self.exemplar.lock() {
-            Ok(g) => *g,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
+        *lock(&self.exemplar)
     }
 
     /// Non-cumulative per-bucket counts.
@@ -288,11 +282,15 @@ impl HistogramCore {
 // Registry
 // ----------------------------------------------------------------------
 
-/// The shared state behind one registered metric.
+/// The shared state behind one registered metric, of one of the three
+/// [`Kind`]s.
 #[derive(Debug, Clone)]
-enum Core {
+pub enum Core {
+    /// A counter's state.
     Counter(Arc<CounterCore>),
+    /// A gauge's state.
     Gauge(Arc<GaugeCore>),
+    /// A histogram's state.
     Histogram(Arc<HistogramCore>),
 }
 
@@ -306,6 +304,44 @@ impl Core {
     }
 }
 
+/// A metric kind: [`CounterCore`], [`GaugeCore`] or [`HistogramCore`].
+/// [`Registry::series`], [`Metric`] and [`Family`] are generic over it.
+pub trait Kind: sealed::Sealed + Default + Send + Sync + 'static {}
+
+mod sealed {
+    use super::{Arc, Core};
+
+    /// Moves one typed core in and out of the registry's [`Core`] enum.
+    /// Unnameable outside this crate, so the three kinds are the only ones.
+    pub trait Sealed: Sized {
+        /// Wraps a fresh core for a new registry entry.
+        fn wrap(core: Arc<Self>) -> Core;
+        /// The typed core of an entry, or the entry back when it holds
+        /// another kind.
+        fn unwrap(core: Core) -> Result<Arc<Self>, Core>;
+    }
+}
+
+macro_rules! kind {
+    ($core:ty, $variant:ident) => {
+        impl sealed::Sealed for $core {
+            fn wrap(core: Arc<Self>) -> Core {
+                Core::$variant(core)
+            }
+            fn unwrap(core: Core) -> Result<Arc<Self>, Core> {
+                match core {
+                    Core::$variant(c) => Ok(c),
+                    other => Err(other),
+                }
+            }
+        }
+        impl Kind for $core {}
+    };
+}
+kind!(CounterCore, Counter);
+kind!(GaugeCore, Gauge);
+kind!(HistogramCore, Histogram);
+
 #[derive(Debug)]
 struct Entry {
     name: String,
@@ -318,9 +354,6 @@ struct Entry {
 
 /// One row of [`Registry::sorted`]: `(name, label, help, core)`.
 type SortedEntry = (String, Option<(String, String)>, String, Core);
-
-/// The lazily-built `label value -> core` cache behind each metric family.
-type FamilyCache<C> = OnceLock<Mutex<Vec<(String, Arc<C>)>>>;
 
 /// Label values are interpolated into Prometheus sample lines and JSON
 /// keys; characters that could break either encoding are replaced with
@@ -348,138 +381,58 @@ impl Registry {
         Self::default()
     }
 
-    fn register(
-        &self,
-        name: &str,
-        label: Option<(&str, &str)>,
-        help: &str,
-        make: impl FnOnce() -> Core,
-    ) -> Core {
+    /// Registers (or finds) the series `name` of core kind `K`: unlabeled
+    /// for `label == None`, else the `{key="value"}` series of a labeled
+    /// family (per-model serving metrics). A series already registered as
+    /// a different kind keeps its original kind; the caller gets a detached
+    /// core so recording still works, but only the first registration is
+    /// exposed — `debug_assert!`ed as a programming bug.
+    pub fn series<K: Kind>(&self, name: &str, label: Option<(&str, &str)>, help: &str) -> Arc<K> {
         let label = label.map(|(k, v)| (k.to_string(), sanitize_label_value(v)));
-        let mut entries = lock_entries(&self.entries);
-        if let Some(e) = entries.iter().find(|e| e.name == name && e.label == label) {
-            return e.core.clone();
-        }
-        let core = make();
-        entries.push(Entry {
-            name: name.to_string(),
-            label,
-            help: help.to_string(),
-            core: core.clone(),
-        });
-        core
+        let mut entries = lock(&self.entries);
+        let core = match entries.iter().find(|e| e.name == name && e.label == label) {
+            Some(e) => e.core.clone(),
+            None => {
+                let core = K::wrap(Arc::default());
+                entries.push(Entry {
+                    name: name.to_string(),
+                    label,
+                    help: help.to_string(),
+                    core: core.clone(),
+                });
+                core
+            }
+        };
+        K::unwrap(core).unwrap_or_else(|other| {
+            debug_assert!(
+                false,
+                "metric `{name}` already registered as {}",
+                other.kind()
+            );
+            Arc::default()
+        })
     }
 
-    /// Registers (or finds) the counter `name`. A name already registered
-    /// as a different kind keeps its original kind; the caller gets a
-    /// detached core so recording still works, but only the first
-    /// registration is exposed — `debug_assert!`ed as a programming bug.
+    /// Registers (or finds) the unlabeled counter `name`.
     pub fn counter(&self, name: &str, help: &str) -> Arc<CounterCore> {
-        self.counter_entry(name, None, help)
+        self.series(name, None, help)
     }
 
-    /// Registers (or finds) one `{label_key="label_value"}` series of the
-    /// counter family `name` (per-model serving metrics).
-    pub fn labeled_counter(
-        &self,
-        name: &str,
-        help: &str,
-        label_key: &str,
-        label_value: &str,
-    ) -> Arc<CounterCore> {
-        self.counter_entry(name, Some((label_key, label_value)), help)
-    }
-
-    fn counter_entry(
-        &self,
-        name: &str,
-        label: Option<(&str, &str)>,
-        help: &str,
-    ) -> Arc<CounterCore> {
-        match self.register(name, label, help, || Core::Counter(Arc::default())) {
-            Core::Counter(c) => c,
-            other => {
-                debug_assert!(
-                    false,
-                    "metric `{name}` already registered as {}",
-                    other.kind()
-                );
-                Arc::default()
-            }
-        }
-    }
-
-    /// Registers (or finds) the gauge `name`.
+    /// Registers (or finds) the unlabeled gauge `name`.
     pub fn gauge(&self, name: &str, help: &str) -> Arc<GaugeCore> {
-        self.gauge_entry(name, None, help)
+        self.series(name, None, help)
     }
 
-    /// Registers (or finds) one labeled series of the gauge family `name`.
-    pub fn labeled_gauge(
-        &self,
-        name: &str,
-        help: &str,
-        label_key: &str,
-        label_value: &str,
-    ) -> Arc<GaugeCore> {
-        self.gauge_entry(name, Some((label_key, label_value)), help)
-    }
-
-    fn gauge_entry(&self, name: &str, label: Option<(&str, &str)>, help: &str) -> Arc<GaugeCore> {
-        match self.register(name, label, help, || Core::Gauge(Arc::default())) {
-            Core::Gauge(g) => g,
-            other => {
-                debug_assert!(
-                    false,
-                    "metric `{name}` already registered as {}",
-                    other.kind()
-                );
-                Arc::default()
-            }
-        }
-    }
-
-    /// Registers (or finds) the histogram `name`.
+    /// Registers (or finds) the unlabeled histogram `name`.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<HistogramCore> {
-        self.histogram_entry(name, None, help)
-    }
-
-    /// Registers (or finds) one labeled series of the histogram family
-    /// `name`.
-    pub fn labeled_histogram(
-        &self,
-        name: &str,
-        help: &str,
-        label_key: &str,
-        label_value: &str,
-    ) -> Arc<HistogramCore> {
-        self.histogram_entry(name, Some((label_key, label_value)), help)
-    }
-
-    fn histogram_entry(
-        &self,
-        name: &str,
-        label: Option<(&str, &str)>,
-        help: &str,
-    ) -> Arc<HistogramCore> {
-        match self.register(name, label, help, || Core::Histogram(Arc::default())) {
-            Core::Histogram(h) => h,
-            other => {
-                debug_assert!(
-                    false,
-                    "metric `{name}` already registered as {}",
-                    other.kind()
-                );
-                Arc::default()
-            }
-        }
+        self.series(name, None, help)
     }
 
     /// Snapshots the entries sorted by name, then label value (exposition
     /// is deterministic regardless of registration order; all series of a
     /// labeled family are contiguous).
     fn sorted(&self) -> Vec<SortedEntry> {
-        let entries = lock_entries(&self.entries);
+        let entries = lock(&self.entries);
         let mut v: Vec<SortedEntry> = entries
             .iter()
             .map(|e| {
@@ -656,17 +609,24 @@ pub fn global() -> &'static Registry {
 // Static handles
 // ----------------------------------------------------------------------
 
-/// A `const`-constructible counter handle. Declare as a `static`; the
-/// metric registers into [`global`] on first use. Recording is gated on
-/// [`enabled`] (one relaxed load when off).
-pub struct Counter {
+/// A `const`-constructible handle on one unlabeled metric of kind `K`.
+/// Declare as a `static`; the metric registers into [`global`] on first
+/// use. Recording is gated on [`enabled`] (one relaxed load when off).
+pub struct Metric<K> {
     name: &'static str,
     help: &'static str,
-    core: OnceLock<Arc<CounterCore>>,
+    core: OnceLock<Arc<K>>,
 }
 
-impl Counter {
-    /// Declares a counter (name discipline: `cdcl_*_total`, snake_case).
+/// A counter handle (name discipline: `cdcl_*_total`, snake_case).
+pub type Counter = Metric<CounterCore>;
+/// A gauge handle.
+pub type Gauge = Metric<GaugeCore>;
+/// A histogram handle on the fixed [`hist`] grid.
+pub type Histogram = Metric<HistogramCore>;
+
+impl<K> Metric<K> {
+    /// Declares a metric.
     pub const fn new(name: &'static str, help: &'static str) -> Self {
         Self {
             name,
@@ -674,12 +634,16 @@ impl Counter {
             core: OnceLock::new(),
         }
     }
+}
 
-    fn core(&self) -> &Arc<CounterCore> {
+impl<K: Kind> Metric<K> {
+    fn core(&self) -> &Arc<K> {
         self.core
-            .get_or_init(|| global().counter(self.name, self.help))
+            .get_or_init(|| global().series(self.name, None, self.help))
     }
+}
 
+impl Counter {
     /// Adds `n` (no-op when the layer is disabled).
     #[inline]
     pub fn add(&self, n: u64) {
@@ -710,29 +674,7 @@ impl Counter {
     }
 }
 
-/// A `const`-constructible gauge handle (see [`Counter`] for the
-/// registration contract).
-pub struct Gauge {
-    name: &'static str,
-    help: &'static str,
-    core: OnceLock<Arc<GaugeCore>>,
-}
-
 impl Gauge {
-    /// Declares a gauge.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            core: OnceLock::new(),
-        }
-    }
-
-    fn core(&self) -> &Arc<GaugeCore> {
-        self.core
-            .get_or_init(|| global().gauge(self.name, self.help))
-    }
-
     /// Sets the gauge (no-op when the layer is disabled).
     #[inline]
     pub fn set(&self, v: f64) {
@@ -747,28 +689,7 @@ impl Gauge {
     }
 }
 
-/// A `const`-constructible histogram handle on the fixed [`hist`] grid.
-pub struct Histogram {
-    name: &'static str,
-    help: &'static str,
-    core: OnceLock<Arc<HistogramCore>>,
-}
-
 impl Histogram {
-    /// Declares a histogram.
-    pub const fn new(name: &'static str, help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            core: OnceLock::new(),
-        }
-    }
-
-    fn core(&self) -> &Arc<HistogramCore> {
-        self.core
-            .get_or_init(|| global().histogram(self.name, self.help))
-    }
-
     /// Records one observation (no-op when the layer is disabled).
     #[inline]
     pub fn observe(&self, v: f64) {
@@ -782,8 +703,25 @@ impl Histogram {
     #[inline]
     pub fn time(&self) -> HistTimer<'_> {
         HistTimer {
-            start: enabled().then(Instant::now),
             hist: self,
+            span: None,
+            start: enabled().then(Instant::now),
+        }
+    }
+
+    /// Opens the timed region `name`: one `cdcl-telemetry` span that also
+    /// feeds this histogram, so the region is instrumented at one call.
+    /// Closing it ([`HistTimer::finish`], or drop on an early return)
+    /// observes the duration in microseconds while the span is still the
+    /// active trace context — a traced observation's exemplar is this very
+    /// span — then closes the span, which emits its `phase` event. The
+    /// clock is read whatever the layers' state, because `finish` reports
+    /// the duration to its caller.
+    pub fn span(&self, name: &'static str) -> HistTimer<'_> {
+        HistTimer {
+            hist: self,
+            span: Some(cdcl_telemetry::span(name)),
+            start: Some(Instant::now()),
         }
     }
 
@@ -803,19 +741,43 @@ impl Histogram {
     }
 }
 
-/// Scoped timer from [`Histogram::time`]: records µs on drop.
-pub struct HistTimer<'a> {
+/// A timed region from [`Histogram::time`] or [`Histogram::span`]:
+/// records µs into the histogram when it closes, by [`HistTimer::finish`]
+/// or on drop. A region with a span must close on its creating thread.
+pub struct HistTimer<'h> {
+    hist: &'h Histogram,
+    span: Option<cdcl_telemetry::Span>,
+    /// `None` when there is nothing to time, and once closed.
     start: Option<Instant>,
-    hist: &'a Histogram,
+}
+
+impl HistTimer<'_> {
+    /// Attaches task context to the span.
+    pub fn task(mut self, task: usize) -> Self {
+        self.span = self.span.take().map(|s| s.task(task));
+        self
+    }
+
+    /// Closes the region and returns its duration in microseconds (0 for
+    /// a [`Histogram::time`] timer with the layer off).
+    pub fn finish(mut self) -> f64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> f64 {
+        let Some(start) = self.start.take() else {
+            return 0.0;
+        };
+        let us = start.elapsed().as_secs_f64() * 1e6;
+        self.hist.observe(us);
+        self.span = None;
+        us
+    }
 }
 
 impl Drop for HistTimer<'_> {
     fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.hist
-                .core()
-                .observe(start.elapsed().as_secs_f64() * 1e6);
-        }
+        self.close();
     }
 }
 
@@ -823,115 +785,45 @@ impl Drop for HistTimer<'_> {
 // Labeled families
 // ----------------------------------------------------------------------
 
-/// Poison-tolerant family-cache lock (same reasoning as the registry).
-fn lock_family<T>(m: &Mutex<Vec<(String, T)>>) -> MutexGuard<'_, Vec<(String, T)>> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-/// A `const`-constructible **family** of counters sharing one name and one
-/// label key, fanned out by label value — the per-model serving series
-/// (`cdcl_serve_model_requests_total{model="…"}`). [`CounterFamily::with`]
-/// resolves a value to its [`CounterCore`]; callers cache the `Arc` (one
-/// resolution per model slot), so record sites stay lock-free. Cores record
-/// unconditionally — holders that need the disabled-layer fast path gate on
-/// [`enabled`] themselves (the servers that use families always enable the
-/// layer at startup).
-pub struct CounterFamily {
+/// A `const`-constructible **family** of metrics of kind `K` sharing one
+/// name and one label key, fanned out by label value — the per-model
+/// serving series (`cdcl_serve_model_requests_total{model="…"}`).
+/// [`Family::with`] resolves a value to its core through the registry;
+/// callers keep the `Arc` (one resolution per model slot), so record sites
+/// stay lock-free. Cores record unconditionally — holders that need the
+/// disabled-layer fast path gate on [`enabled`] themselves (the servers
+/// that use families always enable the layer at startup).
+pub struct Family<K> {
     name: &'static str,
     help: &'static str,
     label: &'static str,
-    cores: FamilyCache<CounterCore>,
+    kind: PhantomData<fn() -> K>,
 }
 
-impl CounterFamily {
-    /// Declares a counter family (name discipline as [`Counter::new`];
-    /// `label` is the label *key*, e.g. `"model"`).
+/// A family of counters.
+pub type CounterFamily = Family<CounterCore>;
+/// A family of gauges.
+pub type GaugeFamily = Family<GaugeCore>;
+/// A family of histograms.
+pub type HistogramFamily = Family<HistogramCore>;
+
+impl<K> Family<K> {
+    /// Declares a family (name discipline as [`Metric::new`]; `label` is
+    /// the label *key*, e.g. `"model"`).
     pub const fn new(name: &'static str, help: &'static str, label: &'static str) -> Self {
         Self {
             name,
             help,
             label,
-            cores: OnceLock::new(),
+            kind: PhantomData,
         }
     }
+}
 
+impl<K: Kind> Family<K> {
     /// The series for `value`, registering it on first use.
-    pub fn with(&self, value: &str) -> Arc<CounterCore> {
-        let cache = self.cores.get_or_init(|| Mutex::new(Vec::new()));
-        let mut cache = lock_family(cache);
-        if let Some((_, core)) = cache.iter().find(|(v, _)| v == value) {
-            return core.clone();
-        }
-        let core = global().labeled_counter(self.name, self.help, self.label, value);
-        cache.push((value.to_string(), core.clone()));
-        core
-    }
-}
-
-/// A `const`-constructible family of gauges (see [`CounterFamily`]).
-pub struct GaugeFamily {
-    name: &'static str,
-    help: &'static str,
-    label: &'static str,
-    cores: FamilyCache<GaugeCore>,
-}
-
-impl GaugeFamily {
-    /// Declares a gauge family.
-    pub const fn new(name: &'static str, help: &'static str, label: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            label,
-            cores: OnceLock::new(),
-        }
-    }
-
-    /// The series for `value`, registering it on first use.
-    pub fn with(&self, value: &str) -> Arc<GaugeCore> {
-        let cache = self.cores.get_or_init(|| Mutex::new(Vec::new()));
-        let mut cache = lock_family(cache);
-        if let Some((_, core)) = cache.iter().find(|(v, _)| v == value) {
-            return core.clone();
-        }
-        let core = global().labeled_gauge(self.name, self.help, self.label, value);
-        cache.push((value.to_string(), core.clone()));
-        core
-    }
-}
-
-/// A `const`-constructible family of histograms (see [`CounterFamily`]).
-pub struct HistogramFamily {
-    name: &'static str,
-    help: &'static str,
-    label: &'static str,
-    cores: FamilyCache<HistogramCore>,
-}
-
-impl HistogramFamily {
-    /// Declares a histogram family.
-    pub const fn new(name: &'static str, help: &'static str, label: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            label,
-            cores: OnceLock::new(),
-        }
-    }
-
-    /// The series for `value`, registering it on first use.
-    pub fn with(&self, value: &str) -> Arc<HistogramCore> {
-        let cache = self.cores.get_or_init(|| Mutex::new(Vec::new()));
-        let mut cache = lock_family(cache);
-        if let Some((_, core)) = cache.iter().find(|(v, _)| v == value) {
-            return core.clone();
-        }
-        let core = global().labeled_histogram(self.name, self.help, self.label, value);
-        cache.push((value.to_string(), core.clone()));
-        core
+    pub fn with(&self, value: &str) -> Arc<K> {
+        global().series(self.name, Some((self.label, value)), self.help)
     }
 }
 
@@ -959,6 +851,7 @@ mod tests {
         C.inc();
         H.observe(5.0);
         drop(H.time());
+        H.span("obs_disabled_region").finish();
         assert_eq!(C.get(), 0);
         assert_eq!(H.count(), 0);
     }
@@ -1102,6 +995,45 @@ cdcl_golden_latency_us_bucket{le=\"10\"} 3
         assert_eq!(h.exemplar().expect("kept").trace_id, 0xbbb);
     }
 
+    /// The quoted string value of the first `"key":"…"` in `text`.
+    fn quoted<'a>(text: &'a str, key: &str) -> &'a str {
+        let pat = format!("\"{key}\":\"");
+        let at = text.find(&pat).map(|i| i + pat.len()).unwrap_or(text.len());
+        let rest = &text[at..];
+        &rest[..rest.find('"').unwrap_or(0)]
+    }
+
+    #[test]
+    fn histogram_span_records_each_sink_once_and_exemplars_its_span() {
+        let _g = guard();
+        static H: Histogram = Histogram::new("cdcl_test_span_region_us", "x");
+        let path = std::env::temp_dir().join(format!("cdcl-obs-span-{}.jsonl", std::process::id()));
+        cdcl_telemetry::set_trace_file(Some(&path));
+        set_enabled(true);
+        let us = H.span("obs_test_region").task(7).finish();
+        set_enabled(false);
+        cdcl_telemetry::set_trace_file(None);
+        let trace = std::fs::read_to_string(&path).expect("trace readable");
+        std::fs::remove_file(&path).ok();
+
+        assert_eq!(H.count(), 1, "one region, one observation");
+        assert_eq!(H.sum(), us, "finish() reports the observed duration");
+        let phases: Vec<&str> = trace
+            .lines()
+            .filter(|l| l.contains("\"ev\":\"phase\",\"name\":\"obs_test_region\""))
+            .collect();
+        assert_eq!(phases.len(), 1, "one region, one phase event: {trace}");
+        assert!(phases[0].contains("\"task\":7"), "{}", phases[0]);
+        let json = global().render_json();
+        let entry = &json[json
+            .find("\"cdcl_test_span_region_us\"")
+            .expect("registered")..];
+        let exemplar = &entry[entry.find("\"exemplar\"").expect("traced exemplar")..];
+        assert_eq!(quoted(exemplar, "span"), quoted(phases[0], "span"));
+        assert_eq!(quoted(exemplar, "trace"), quoted(phases[0], "trace"));
+        assert_eq!(quoted(exemplar, "span").len(), 16);
+    }
+
     #[test]
     fn histogram_count_equals_bucket_sum_and_sum_accumulates() {
         let h = HistogramCore::default();
@@ -1125,20 +1057,15 @@ cdcl_golden_latency_us_bucket{le=\"10\"} 3
     #[test]
     fn labeled_series_share_one_help_type_block() {
         let r = Registry::new();
-        r.labeled_counter(
-            "cdcl_lab_requests_total",
-            "Per-model requests",
-            "model",
-            "beta",
-        )
-        .add(2);
-        r.labeled_counter(
-            "cdcl_lab_requests_total",
-            "Per-model requests",
-            "model",
-            "alpha",
-        )
-        .add(5);
+        let series = |v| {
+            r.series::<CounterCore>(
+                "cdcl_lab_requests_total",
+                Some(("model", v)),
+                "Per-model requests",
+            )
+        };
+        series("beta").add(2);
+        series("alpha").add(5);
         let text = r.render_prometheus();
         assert_eq!(
             text,
@@ -1152,7 +1079,7 @@ cdcl_golden_latency_us_bucket{le=\"10\"} 3
     #[test]
     fn labeled_histogram_merges_label_with_le_and_keys_json() {
         let r = Registry::new();
-        let h = r.labeled_histogram("cdcl_lab_lat_us", "lat", "model", "m1");
+        let h = r.series::<HistogramCore>("cdcl_lab_lat_us", Some(("model", "m1")), "lat");
         h.observe(3.0);
         let text = r.render_prometheus();
         assert!(text.contains("cdcl_lab_lat_us_bucket{model=\"m1\",le=\"5\"} 1\n"));
@@ -1170,7 +1097,7 @@ cdcl_golden_latency_us_bucket{le=\"10\"} 3
     fn labeled_and_unlabeled_same_name_stay_distinct() {
         let r = Registry::new();
         let plain = r.counter("cdcl_lab_mixed_total", "c");
-        let labeled = r.labeled_counter("cdcl_lab_mixed_total", "c", "model", "x");
+        let labeled = r.series::<CounterCore>("cdcl_lab_mixed_total", Some(("model", "x")), "c");
         plain.add(1);
         labeled.add(10);
         let text = r.render_prometheus();
@@ -1196,7 +1123,7 @@ cdcl_golden_latency_us_bucket{le=\"10\"} 3
     #[test]
     fn hostile_label_values_are_sanitized() {
         let r = Registry::new();
-        r.labeled_counter("cdcl_lab_esc_total", "c", "model", "a\"b\\c\nd{e}")
+        r.series::<CounterCore>("cdcl_lab_esc_total", Some(("model", "a\"b\\c\nd{e}")), "c")
             .add(1);
         let text = r.render_prometheus();
         assert!(

@@ -11,6 +11,7 @@ use cdcl::core::{CdclConfig, CdclTrainer, ContinualLearner};
 use cdcl::data::{mnist_usps, MnistUspsDirection, Scale};
 use cdcl::nn::Module;
 use cdcl::{obs, telemetry};
+use serde::Value;
 
 /// The metrics registry (and the telemetry sink) are process-global; tests
 /// that toggle them must not overlap.
@@ -71,13 +72,30 @@ fn metrics_on_run_populates_the_registry_and_health_trace() {
     let occupancy = sample(&text, "cdcl_train_memory_occupancy");
     let capacity = sample(&text, "cdcl_train_memory_capacity");
     assert!(occupancy > 0.0 && occupancy <= capacity);
-    for gauge in [
-        "cdcl_train_loss",
-        "cdcl_train_grad_norm",
-        "cdcl_train_pair_agreement",
-        "cdcl_train_pseudo_flip_rate",
+    // Each trainer signal is recorded at one point that feeds both sinks:
+    // the final gauge is, bit for bit, the last matching `scalar` event.
+    let events: Vec<Value> = trace
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("trace line is JSON"))
+        .collect();
+    for (gauge, names) in [
+        ("cdcl_train_loss", &["loss_warmup", "loss_total"][..]),
+        ("cdcl_train_grad_norm", &["grad_norm"][..]),
+        ("cdcl_train_pair_agreement", &["pair_agreement"][..]),
+        ("cdcl_train_pseudo_flip_rate", &["pseudo_flip_rate"][..]),
     ] {
-        sample(&text, gauge); // present (values are run-dependent)
+        let last = events
+            .iter()
+            .rev()
+            .filter(|v| v.str_field("ev") == Some("scalar"))
+            .filter(|v| v.str_field("name").is_some_and(|n| names.contains(&n)))
+            .find_map(|v| v.f64_field("value"))
+            .unwrap_or_else(|| panic!("no {names:?} scalar in the trace"));
+        assert_eq!(
+            sample(&text, gauge).to_bits(),
+            last.to_bits(),
+            "{gauge} differs from its last {names:?} event"
+        );
     }
     // Step timers filled their histograms, with derived percentiles.
     assert!(text.contains("# TYPE cdcl_train_warmup_step_us histogram"));

@@ -61,22 +61,18 @@ fn traced_run_emits_parseable_jsonl_covering_every_phase() {
         let v: Value = serde_json::from_str(line)
             .unwrap_or_else(|e| panic!("unparseable trace line {line:?}: {e}"));
         // seq strictly increases in file order.
-        let seq = match v.field("seq") {
-            Some(Value::Num(n)) => *n as u64,
-            other => panic!("missing/invalid seq: {other:?}"),
-        };
+        let seq = v
+            .u64_field("seq")
+            .unwrap_or_else(|| panic!("missing/invalid seq: {line}"));
         if let Some(prev) = last_seq {
             assert!(seq > prev, "seq went backwards: {prev} -> {seq}");
         }
         last_seq = Some(seq);
-        let name = match v.field("name") {
-            Some(Value::Str(s)) => s.clone(),
-            _ => String::new(),
-        };
-        match v.field("ev") {
-            Some(Value::Str(ev)) if ev == "phase" => phases.push(name),
-            Some(Value::Str(ev)) if ev == "scalar" => scalars.push(name),
-            Some(Value::Str(ev)) if ev == "counters" => counters += 1,
+        let name = v.str_field("name").unwrap_or_default().to_string();
+        match v.str_field("ev") {
+            Some("phase") => phases.push(name),
+            Some("scalar") => scalars.push(name),
+            Some("counters") => counters += 1,
             _ => {}
         }
     }
